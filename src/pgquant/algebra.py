@@ -6,10 +6,11 @@ are frozen after construction and safe to share.
 """
 from __future__ import annotations
 
+import cmath
+import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
 
 THETA = "th"
 THETA_BAR = "thb"
@@ -27,6 +28,8 @@ class AlgebraCtx:
             raise ValueError("order l must be an integer >= 2")
         object.__setattr__(self, "l", int(self.l))
         q = complex(self.q)
+        if not cmath.isfinite(q):
+            raise ValueError("deformation parameter q must be finite")
         if q == 0:
             raise ValueError("deformation parameter q must be nonzero")
         object.__setattr__(self, "q", q)
@@ -34,6 +37,16 @@ class AlgebraCtx:
     def chi(self, k: int) -> int:
         """1 if k is a valid exponent index (0 <= k < l), else 0."""
         return 1 if 0 <= k < self.l else 0
+
+    @functools.cached_property
+    def qinv_powers(self) -> np.ndarray:
+        """q^{-k} for k = 0..(l-1)^2, built by repeated multiplication so that
+        negative and complex q stay on the expected branch."""
+        top = (self.l - 1) * (self.l - 1)
+        pows = np.ones(top + 1, dtype=complex)
+        pows[1:] = np.cumprod(np.full(top, 1.0 / self.q))
+        pows.flags.writeable = False
+        return pows
 
 
 def aw_index(l: int, i: int, j: int) -> int:
@@ -107,9 +120,29 @@ def _check_same_order(f: PGElement, g: PGElement):
         raise ValueError(f"order mismatch: {f.l} vs {g.l}")
 
 
-def allclose(f: PGElement, g: PGElement, rtol: float = 1e-9, atol: float = 1e-12) -> bool:
-    _check_same_order(f, g)
-    return np.allclose(f.coeffs, g.coeffs, rtol=rtol, atol=atol)
+@functools.lru_cache(maxsize=None)
+def product_support(l: int):
+    """Index table of the exponent-adding product at order l.
+
+    Lists every (a, b, c, d) with a+c < l and b+d < l, in lexicographic order,
+    as four flat index arrays: the left factor's position a*l+b, the right
+    factor's position c*l+d, the phase exponent b*c, and the output position
+    (a+c)*l+(b+d).  Each output cell receives its terms in increasing (a, b).
+    """
+    a, b, c, d = np.ix_(*[np.arange(l)] * 4)
+    a, b, c, d = np.nonzero((a + c < l) & (b + d < l))
+    table = (a * l + b, c * l + d, b * c, (a + c) * l + (b + d))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def scatter_sum(cells: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
+    """Complex length-size vector whose entry k sums terms[cells == k] in order."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(cells, terms.real, size)
+    out.imag = np.bincount(cells, terms.imag, size)
+    return out
 
 
 def normal_order(word, ctx: AlgebraCtx) -> PGElement:
@@ -137,28 +170,20 @@ def multiply(f: PGElement, g: PGElement, ctx: AlgebraCtx) -> PGElement:
     """Algebra product: (th^a thb^b)(th^c thb^d) = q^{-bc} th^{a+c} thb^{b+d}."""
     _check_same_order(f, g)
     l = f.l
-    out = np.zeros((l, l), dtype=complex)
-    # phase[b, c] = q^(-b*c), built by repeated multiplication so that negative
-    # and complex q stay on the expected branch
-    qinv_pows = np.ones((l - 1) * (l - 1) + 1, dtype=complex)
-    qinv_pows[1:] = np.cumprod(np.full((l - 1) * (l - 1), 1.0 / ctx.q))
-    phase = qinv_pows[np.outer(np.arange(l), np.arange(l))]
-    for a in range(l):
-        for b in range(l):
-            coeff = f.coeffs[a, b]
-            if coeff == 0:
-                continue
-            na, nb = l - a, l - b
-            out[a:, b:] += coeff * phase[b, :na, None] * g.coeffs[:na, :nb]
-    return PGElement(l, out)
+    if ctx.l != l:
+        raise ValueError(f"order mismatch: elements {l} vs context {ctx.l}")
+    left, right, bc, cells = product_support(l)
+    terms = f.coeffs.ravel()[left] * ctx.qinv_powers[bc] * g.coeffs.ravel()[right]
+    return PGElement(l, scatter_sum(cells, terms, l * l).reshape(l, l))
 
 
 def anti_wick_product(f: PGElement, g: PGElement) -> PGElement:
     """Exponent-adding product with no q factor; a plain truncated convolution."""
     _check_same_order(f, g)
     l = f.l
-    full = convolve2d(f.coeffs, g.coeffs)
-    return PGElement(l, full[:l, :l])
+    left, right, _, cells = product_support(l)
+    terms = f.coeffs.ravel()[left] * g.coeffs.ravel()[right]
+    return PGElement(l, scatter_sum(cells, terms, l * l).reshape(l, l))
 
 
 def conjugate(f: PGElement) -> PGElement:
@@ -249,10 +274,15 @@ def from_free_expr(e: FreeExpr, ctx: AlgebraCtx) -> PGElement:
             out = multiply(out, from_free_expr(fct, ctx), ctx)
         return out
     if isinstance(e, Pow):
+        if e.exponent == 0:
+            return PGElement.one(ctx.l)
         base = from_free_expr(e.base, ctx)
-        out = PGElement.one(ctx.l)
-        for _ in range(e.exponent):
-            out = multiply(out, base, ctx)
+        # square-and-multiply over the exponent's bits, most significant first
+        out = base
+        for bit in bin(e.exponent)[3:]:
+            out = multiply(out, out, ctx)
+            if bit == "1":
+                out = multiply(out, base, ctx)
         return out
     if isinstance(e, Neg):
         return -from_free_expr(e.operand, ctx)

@@ -6,7 +6,9 @@ error.  Complex numbers serialize as [re, im] pairs in JSON.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import os
 import sys
 
@@ -36,9 +38,12 @@ def parse_complex(text: str) -> complex:
     elif cleaned == "-j":
         cleaned = "-1j"
     try:
-        return complex(cleaned)
+        value = complex(cleaned)
     except ValueError:
         raise ConfigError(f"cannot parse complex number {text!r}")
+    if not cmath.isfinite(value):
+        raise ConfigError(f"complex number {text!r} is not finite")
+    return value
 
 
 def parse_weights(text: str, l: int, q: complex) -> WeightSeq:
@@ -53,8 +58,8 @@ def parse_weights(text: str, l: int, q: complex) -> WeightSeq:
         raise ConfigError(f"cannot parse weights {text!r}")
     if len(values) != l:
         raise ConfigError(f"expected {l} weights, got {len(values)}")
-    if any(v <= 0 for v in values):
-        raise ConfigError("weights must be strictly positive")
+    if not all(0 < v < math.inf for v in values):
+        raise ConfigError("weights must be finite and strictly positive")
     return WeightSeq(l, values)
 
 

@@ -30,8 +30,8 @@ class WeightSeq:
         if len(self.w) != self.l:
             raise ValueError(f"expected {self.l} weights, got {len(self.w)}")
         w = tuple(float(x) for x in self.w)
-        if any(x <= 0 for x in w):
-            raise ValueError("weights must be strictly positive")
+        if not all(0 < x < math.inf for x in w):
+            raise ValueError("weights must be finite and strictly positive")
         object.__setattr__(self, "w", w)
 
     @classmethod
@@ -85,6 +85,22 @@ def preset_weights(name: str, l: int, q: complex = 1.0) -> WeightSeq:
 
 
 @functools.lru_cache(maxsize=None)
+def _gram_support(l: int):
+    """Index table of the nonzero Gram entries at order l.
+
+    Lists every (a, b, c, d) with a+d = b+c and a+d < l, in lexicographic
+    order, as three flat index arrays: the row a*l+b, the column c*l+d and the
+    weight index a+d.
+    """
+    a, b, c, d = np.ix_(*[np.arange(l)] * 4)
+    a, b, c, d = np.nonzero((a + d == b + c) & (a + d < l))
+    table = (aw_index(l, a, b), aw_index(l, c, d), a + d)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+@functools.lru_cache(maxsize=None)
 def gram_matrix(w: WeightSeq) -> np.ndarray:
     """l^2 x l^2 matrix of the form over the monomial basis (row-major order).
 
@@ -92,13 +108,9 @@ def gram_matrix(w: WeightSeq) -> np.ndarray:
     symmetric, and invertible for every admissible weight sequence.
     """
     l = w.l
+    rows, cols, k = _gram_support(l)
     G = np.zeros((l * l, l * l))
-    for a in range(l):
-        for b in range(l):
-            for c in range(l):
-                for d in range(l):
-                    if a + d == b + c and a + d < l:
-                        G[aw_index(l, a, b), aw_index(l, c, d)] = w.w[a + d]
+    G[rows, cols] = w.arr()[k]
     G.flags.writeable = False
     return G
 
@@ -106,20 +118,6 @@ def gram_matrix(w: WeightSeq) -> np.ndarray:
 @functools.lru_cache(maxsize=None)
 def _gram_lu(w: WeightSeq):
     return lu_factor(gram_matrix(w))
-
-
-@functools.lru_cache(maxsize=None)
-def _gram_support(w: WeightSeq):
-    """Index quadruples (a, b, c, d) with a nonzero Gram entry, plus weights."""
-    l = w.l
-    entries = []
-    for a in range(l):
-        for b in range(l):
-            for c in range(l):
-                for d in range(l):
-                    if a + d == b + c and a + d < l:
-                        entries.append((a, b, c, d, w.w[a + d]))
-    return tuple(entries)
 
 
 def _fsum_complex(terms) -> complex:
@@ -137,12 +135,17 @@ def form(f: PGElement, g: PGElement, w: WeightSeq, mode: str = "closed") -> comp
     if f.l != w.l or g.l != w.l:
         raise ValueError("order mismatch between elements and weights")
     if mode == "closed":
-        fc = np.conj(f.coeffs)
-        gc = g.coeffs
-        # exactly rounded accumulation keeps the two modes within product
-        # rounding of each other even when weights span orders of magnitude
-        return _fsum_complex(fc[a, b] * wt * gc[c, d]
-                             for a, b, c, d, wt in _gram_support(w))
+        rows, cols, k = _gram_support(w.l)
+        fw = np.conj(f.coeffs).ravel()[rows] * w.arr()[k]
+        gc = g.coeffs.ravel()[cols]
+        # the complex products are spelled out in real arithmetic so that each
+        # partial product is rounded on its own, whether or not numpy's
+        # complex loops fuse multiply-adds on the CPU at hand; exactly rounded
+        # accumulation then keeps the two modes within product rounding of
+        # each other even when weights span orders of magnitude
+        re = fw.real * gc.real - fw.imag * gc.imag
+        im = fw.real * gc.imag + fw.imag * gc.real
+        return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
     if mode == "definitional":
         l = w.l
         fc = conjugate(f).coeffs

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraCtx, PGElement, aw_index, multiply
+from .algebra import (AlgebraCtx, PGElement, aw_index, multiply, product_support,
+                      scatter_sum)
 from .forms import WeightSeq, form
 
 MONOMIAL = "monomial"
@@ -126,29 +127,28 @@ def mult_operator(g: PGElement, side: str, ctx: AlgebraCtx) -> np.ndarray:
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     l = ctx.l
-    M = np.zeros((l * l, l * l), dtype=complex)
-    # qinv_pows[k] = q^{-k}, built by repeated multiplication
-    top = (l - 1) * (l - 1)
-    qinv_pows = np.ones(top + 1, dtype=complex)
-    if top:
-        qinv_pows[1:] = np.cumprod(np.full(top, 1.0 / ctx.q))
-    for x in range(l):
-        for y in range(l):
-            gxy = g.coeffs[x, y]
-            if gxy == 0:
-                continue
-            c = np.arange(l - x)
-            d = np.arange(l - y)
-            rows = ((c[:, None] + x) * l + (d[None, :] + y)).ravel()
-            cols = (c[:, None] * l + d[None, :]).ravel()
-            if side == "right":
-                # (th^c thb^d)(th^x thb^y) = q^{-dx} th^{c+x} thb^{d+y}
-                phase = np.broadcast_to(qinv_pows[d * x][None, :], (l - x, l - y))
-            else:
-                # (th^x thb^y)(th^c thb^d) = q^{-yc} th^{x+c} thb^{y+d}
-                phase = np.broadcast_to(qinv_pows[c * y][:, None], (l - x, l - y))
-            M[rows, cols] += gxy * phase.ravel()
-    return M
+    # F -> F*g reads g at the right factor of each product-table entry and F
+    # at the left one; F -> g*F swaps the two roles.  The phase is q^{-bc}
+    # either way, and each (row, column) pair occurs once.
+    left, right, bc, cells = product_support(l)
+    g_at, cols = (right, left) if side == "right" else (left, right)
+    M = np.zeros(l ** 4, dtype=complex)
+    M[cells * (l * l) + cols] += g.coeffs.ravel()[g_at] * ctx.qinv_powers[bc]
+    return M.reshape(l * l, l * l)
+
+
+@functools.lru_cache(maxsize=None)
+def _toeplitz_support(l: int):
+    """Closed-form Toeplitz table at order l: every (i, j, a) with i+a < l and
+    i+a-j >= 0, in lexicographic order, as flat index arrays of the symbol
+    position i*l+j, the weight indices i+a and i+a-j, and the output position
+    (i+a-j)*l + a."""
+    i, j, a = np.ix_(*[np.arange(l)] * 3)
+    i, j, a = np.nonzero((i + a < l) & (i + a - j >= 0))
+    table = (i * l + j, i + a, i + a - j, (i + a - j) * l + a)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def toeplitz(g: PGElement, w: WeightSeq, ctx: AlgebraCtx, mode: str = "closed") -> OperatorBH:
@@ -163,16 +163,10 @@ def toeplitz(g: PGElement, w: WeightSeq, ctx: AlgebraCtx, mode: str = "closed") 
         raise ValueError("order mismatch")
     l = ctx.l
     if mode == "closed":
-        M = np.zeros((l, l), dtype=complex)
-        for i in range(l):
-            for j in range(l):
-                gij = g.coeffs[i, j]
-                if gij == 0:
-                    continue
-                for a in range(l):
-                    if i + a < l and 0 <= i + a - j < l:
-                        M[i + a - j, a] += gij * w.ratio(i + a, i + a - j)
-        return OperatorBH(l, M, MONOMIAL)
+        symbol, num, den, cells = _toeplitz_support(l)
+        ws = w.arr()
+        terms = g.coeffs.ravel()[symbol] * (ws[num] / ws[den])
+        return OperatorBH(l, scatter_sum(cells, terms, l * l).reshape(l, l), MONOMIAL)
     if mode == "projection":
         comp = pk_operator(w) @ mult_operator(g, "right", ctx)
         hol = np.array([aw_index(l, a, 0) for a in range(l)])
@@ -224,18 +218,18 @@ def coherent_quantization(g: PGElement, w: WeightSeq, ctx: AlgebraCtx,
         return A
     if mode == "berezin":
         sw = np.sqrt(w.arr())
+        norm = np.outer(sw, sw)
         for m in range(l):
             weight = w.w[l - 1 - m]
             # th^m g thb^m inside the integral
             core = multiply(
                 multiply(PGElement.basis(l, m, 0), g, ctx),
                 PGElement.basis(l, 0, m), ctx)
-            for r in range(l):
-                for s in range(l):
-                    term = multiply(
-                        multiply(PGElement.basis(l, r, 0), core, ctx),
-                        PGElement.basis(l, 0, s), ctx)
-                    A[r, s] += weight * term.coeffs[l - 1, l - 1] / (sw[r] * sw[s])
+            # the integral of th^r core thb^s is core's coefficient at
+            # (l-1-r, l-1-s): th^r only raises the th exponents from the left
+            # and thb^s the thb exponents from the right, so no generator is
+            # reordered and no q-phase arises
+            A += weight * core.coeffs[::-1, ::-1] / norm
         return A
     raise ValueError(f"unknown coherent mode {mode!r}")
 

@@ -121,6 +121,20 @@ class TestMatrixCommand:
         assert "strictly positive" in err
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("argv", [
+        ("gram", "--l", "2", "--q", "1", "--weights", "nan,1"),
+        ("gram", "--l", "2", "--q", "1", "--weights", "1e400,1"),
+        ("matrix", "--l", "3", "--q", "nan", "--weights", "ones", "--which", "pk"),
+        ("gram", "--l", "2", "--q", "nan", "--weights", "1,2"),
+        ("verify", "--l", "2", "--q", "1", "--weights", "1,nan"),
+    ])
+    def test_non_finite_input_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+
+
 class TestGramCommand:
     def test_l2_values(self, capsys):
         code, out, _ = run(capsys, "gram", "--l", "2", "--q", "1",
