@@ -33,6 +33,9 @@ class AlgebraCtx:
         if q == 0:
             raise ValueError("deformation parameter q must be nonzero")
         object.__setattr__(self, "q", q)
+        if not np.all(np.isfinite(self.qinv_powers)):
+            raise ValueError(f"q^-k overflows for some k <= {(self.l - 1) ** 2}: "
+                             f"|q| = {abs(q)} is too small for order l = {self.l}")
 
     def chi(self, k: int) -> int:
         """1 if k is a valid exponent index (0 <= k < l), else 0."""
@@ -44,7 +47,8 @@ class AlgebraCtx:
         negative and complex q stay on the expected branch."""
         top = (self.l - 1) * (self.l - 1)
         pows = np.ones(top + 1, dtype=complex)
-        pows[1:] = np.cumprod(np.full(top, 1.0 / self.q))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pows[1:] = np.cumprod(np.full(top, 1.0 / self.q))
         pows.flags.writeable = False
         return pows
 

@@ -10,6 +10,7 @@ import cmath
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -30,9 +31,14 @@ class ConfigError(Exception):
     pass
 
 
+# the imaginary unit i, but not the i of an inf, infinity or nan spelling
+_IMAGINARY_UNIT = re.compile(r"(?i:inf(?:inity)?|nan)|i")
+
+
 def parse_complex(text: str) -> complex:
     """Accept 'a+bi' style text ('1', '-1', '0.5', '0+1i', 'i')."""
-    cleaned = text.strip().replace(" ", "").replace("i", "j")
+    cleaned = _IMAGINARY_UNIT.sub(lambda m: "j" if m.group() == "i" else m.group(),
+                                  text.strip().replace(" ", ""))
     if cleaned in ("j", "+j"):
         cleaned = "1j"
     elif cleaned == "-j":
@@ -194,11 +200,8 @@ def cmd_verify(args) -> int:
     for l in ls:
         for q_id, q in qs:
             if args.weights:
-                try:
-                    points = [("custom" if "," in args.weights else args.weights,
-                               parse_weights(args.weights, l, q))]
-                except ConfigError:
-                    raise
+                points = [("custom" if "," in args.weights else args.weights,
+                           parse_weights(args.weights, l, q))]
             else:
                 points = [(w_id, verify_mod.grid_weights(w_id, l))
                           for w_id in verify_mod.GRID_WEIGHT_IDS]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .algebra import PGElement, aw_index, conjugate
+from .algebra import PGElement, aw_index
 
 WEIGHT_PRESETS = ("ones", "factorial", "qfactorial")
 
@@ -120,9 +120,23 @@ def _gram_lu(w: WeightSeq):
     return lu_factor(gram_matrix(w))
 
 
-def _fsum_complex(terms) -> complex:
-    terms = list(terms)
-    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+@functools.lru_cache(maxsize=None)
+def _berezin_support(l: int):
+    """Index table of the definitional form at order l.
+
+    The Berezin integral of th^m (:f*::g:) thb^m reads the anti-Wick product
+    at (k, k), k = l-1-m, which sums f*[a, b] g[k-a, k-b] over a, b <= k.
+    Lists every (k, a, b) in that loop order (m increasing, then a, then b)
+    as flat index arrays of the position of f*[a, b] in f (that is, b*l+a),
+    the position of g[k-a, k-b] and the weight index k.
+    """
+    m, a, b = np.ix_(*[np.arange(l)] * 3)
+    m, a, b = np.nonzero((a + m < l) & (b + m < l))
+    k = l - 1 - m
+    table = (b * l + a, (k - a) * l + (k - b), k)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
 
 
 def form(f: PGElement, g: PGElement, w: WeightSeq, mode: str = "closed") -> complex:
@@ -147,19 +161,18 @@ def form(f: PGElement, g: PGElement, w: WeightSeq, mode: str = "closed") -> comp
         im = fw.real * gc.imag + fw.imag * gc.real
         return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
     if mode == "definitional":
-        l = w.l
-        fc = conjugate(f).coeffs
-        gc = g.coeffs
-        terms = []
-        for m in range(l):
-            # th^m (:f*::g:) thb^m shifts the table down and right by m, so the
-            # Berezin integral reads the anti-Wick product at (l-1-m, l-1-m)
-            k = l - 1 - m
-            wt = w.w[k]
-            for a in range(k + 1):
-                for b in range(k + 1):
-                    terms.append(wt * (fc[a, b] * gc[k - a, k - b]))
-        return _fsum_complex(terms)
+        fpos, gpos, k = _berezin_support(w.l)
+        # f* conjugates f's coefficients and swaps its two exponents
+        f_at = f.coeffs.ravel()[fpos]
+        fr, fi = f_at.real, -f_at.imag
+        g_at = g.coeffs.ravel()[gpos]
+        gr, gi = g_at.real, g_at.imag
+        wt = w.arr()[k]
+        # each term is w_k * (f*[a, b] * g[k-a, k-b]), spelled out in real
+        # arithmetic as in the closed route
+        re = wt * (fr * gr - fi * gi)
+        im = wt * (fr * gi + fi * gr)
+        return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
     raise ValueError(f"unknown form mode {mode!r}")
 
 

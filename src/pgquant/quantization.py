@@ -7,13 +7,11 @@ l^2 x l^2 matrices over the global row-major monomial ordering.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraCtx, PGElement, aw_index, multiply, product_support,
-                      scatter_sum)
+from .algebra import AlgebraCtx, PGElement, multiply, product_support, scatter_sum
 from .forms import WeightSeq, form
 
 MONOMIAL = "monomial"
@@ -62,6 +60,26 @@ def convert_basis(A: OperatorBH, w: WeightSeq, target: str) -> OperatorBH:
 
 # --- kernel projections ----------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _projection_support(l: int):
+    """Index table of the kernel projection at order l: every (a, b) with
+    a >= b, in lexicographic order, as flat index arrays of the monomial
+    position a*l+b, the weight index a and the output index a-b."""
+    a, b = np.nonzero(np.greater_equal.outer(np.arange(l), np.arange(l)))
+    table = (a * l + b, a, a - b)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def _project_column(coeffs: np.ndarray, w: WeightSeq) -> np.ndarray:
+    """Length-l vector: entry k sums coeffs[a, a-k] * (w_a / w_k) over a."""
+    l = w.l
+    pos, num, den = _projection_support(l)
+    ws = w.arr()
+    return scatter_sum(den, coeffs.ravel()[pos] * (ws[num] / ws[den]), l)
+
+
 def project_pk(F: PGElement, w: WeightSeq, mode: str = "closed") -> PGElement:
     """Project onto the holomorphic subspace.
 
@@ -74,12 +92,7 @@ def project_pk(F: PGElement, w: WeightSeq, mode: str = "closed") -> PGElement:
     l = w.l
     out = np.zeros((l, l), dtype=complex)
     if mode == "closed":
-        for a in range(l):
-            for b in range(l):
-                c = F.coeffs[a, b]
-                if c == 0 or not 0 <= a - b < l:
-                    continue
-                out[a - b, 0] += c * w.ratio(a, a - b)
+        out[:, 0] = _project_column(F.coeffs, w)
     elif mode == "kernel":
         for k in range(l):
             out[k, 0] = form(PGElement.basis(l, k, 0), F, w) / w.w[k]
@@ -95,25 +108,21 @@ def project_pk_bar(F: PGElement, w: WeightSeq) -> PGElement:
         raise ValueError("order mismatch")
     l = w.l
     out = np.zeros((l, l), dtype=complex)
-    for a in range(l):
-        for b in range(l):
-            c = F.coeffs[a, b]
-            if c == 0 or not 0 <= b - a < l:
-                continue
-            out[0, b - a] += c * w.ratio(b, b - a)
+    # the mirror image of project_pk: transposing F swaps the roles of a and b
+    out[0, :] = _project_column(F.coeffs.T, w)
     return PGElement(l, out)
 
 
 @functools.lru_cache(maxsize=None)
 def pk_operator(w: WeightSeq) -> np.ndarray:
     """The projection as an l^2 x l^2 matrix; idempotent, self-adjoint for the
-    weighted form, rank l."""
+    weighted form, rank l.  Column a*l+b holds w_a / w_{a-b} at row (a-b)*l
+    when a >= b and is zero otherwise."""
     l = w.l
+    pos, num, den = _projection_support(l)
+    ws = w.arr()
     P = np.zeros((l * l, l * l), dtype=complex)
-    for a in range(l):
-        for b in range(l):
-            img = project_pk(PGElement.basis(l, a, b), w)
-            P[:, aw_index(l, a, b)] = img.vector()
+    P[den * l, pos] = ws[num] / ws[den]
     P.flags.writeable = False
     return P
 
@@ -168,9 +177,10 @@ def toeplitz(g: PGElement, w: WeightSeq, ctx: AlgebraCtx, mode: str = "closed") 
         terms = g.coeffs.ravel()[symbol] * (ws[num] / ws[den])
         return OperatorBH(l, scatter_sum(cells, terms, l * l).reshape(l, l), MONOMIAL)
     if mode == "projection":
-        comp = pk_operator(w) @ mult_operator(g, "right", ctx)
-        hol = np.array([aw_index(l, a, 0) for a in range(l)])
-        return OperatorBH(l, comp[np.ix_(hol, hol)], MONOMIAL)
+        # only the holomorphic rows of P and columns of M reach the block kept
+        hol = np.arange(l) * l
+        comp = pk_operator(w)[hol, :] @ mult_operator(g, "right", ctx)[:, hol]
+        return OperatorBH(l, comp, MONOMIAL)
     raise ValueError(f"unknown toeplitz mode {mode!r}")
 
 
@@ -191,6 +201,20 @@ def toeplitz_adjoint(A: OperatorBH, w: WeightSeq) -> OperatorBH:
 
 # --- coherent-state and flat quantizations ---------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _coherent_support(l: int):
+    """Closed-form coherent table at order l: every (i, j, a) with j+a < l and
+    j-i+a >= 0, in lexicographic order, as flat index arrays of the symbol
+    position i*l+j, the weight indices j+a, j-i+a and a, and the output
+    position (j-i+a)*l + a."""
+    i, j, a = np.ix_(*[np.arange(l)] * 3)
+    i, j, a = np.nonzero((j + a < l) & (j - i + a >= 0))
+    table = (i * l + j, j + a, j - i + a, a, (j - i + a) * l + a)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
 def coherent_quantization(g: PGElement, w: WeightSeq, ctx: AlgebraCtx,
                           mode: str = "closed") -> np.ndarray:
     """Quantization through the resolution of identity, on the auxiliary
@@ -204,19 +228,13 @@ def coherent_quantization(g: PGElement, w: WeightSeq, ctx: AlgebraCtx,
     if not (g.l == w.l == ctx.l):
         raise ValueError("order mismatch")
     l = ctx.l
-    A = np.zeros((l, l), dtype=complex)
     if mode == "closed":
-        for i in range(l):
-            for j in range(l):
-                gij = g.coeffs[i, j]
-                if gij == 0:
-                    continue
-                for a in range(l):
-                    if j + a < l and 0 <= j - i + a < l:
-                        A[j - i + a, a] += gij * w.w[j + a] / math.sqrt(
-                            w.w[j - i + a] * w.w[a])
-        return A
+        symbol, num, den, a, cells = _coherent_support(l)
+        ws = w.arr()
+        terms = (g.coeffs.ravel()[symbol] * ws[num]) / np.sqrt(ws[den] * ws[a])
+        return scatter_sum(cells, terms, l * l).reshape(l, l)
     if mode == "berezin":
+        A = np.zeros((l, l), dtype=complex)
         sw = np.sqrt(w.arr())
         norm = np.outer(sw, sw)
         for m in range(l):

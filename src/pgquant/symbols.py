@@ -106,11 +106,18 @@ def _number_value(text: str) -> complex:
 
 _ATOM_KINDS = ("th", "thb", "q", "number", "lparen")
 
+# Deepest parenthesis nesting accepted.  Parsing, evaluating, hashing and
+# printing a tree recurse once per node, and one level of parentheses adds at
+# most four nodes (Sum, Neg, Prod, Pow); this keeps all of them well inside
+# the interpreter's recursion limit.
+MAX_DEPTH = 32
+
 
 class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -200,8 +207,12 @@ class _Parser:
             self.advance()
             return Const(_number_value(tok.text))
         if tok.kind == "lparen":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(tok.pos, f"parentheses nested deeper than {MAX_DEPTH}")
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect("rparen", "closing parenthesis")
             return inner
         raise ParseError(tok.pos, f"expected a value, found {tok.text!r}" if tok.text

@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -133,6 +135,39 @@ class TestNonFiniteInput:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == "" and err.startswith("error:")
+
+    def test_infinite_q_is_reported_as_not_finite(self, capsys):
+        code, out, err = run(capsys, "gram", "--l", "2", "--q", "inf", "--weights", "1,1")
+        assert code == 2 and out == ""
+        assert err == "error: complex number 'inf' is not finite\n"
+
+    @pytest.mark.parametrize("text", ["inf", "-inf", "Infinity", "nan", "1+infi", "nan-2i"])
+    def test_non_finite_spellings(self, text):
+        with pytest.raises(ConfigError, match="not finite"):
+            parse_complex(text)
+
+
+class TestUsageErrorsInAFreshProcess:
+    """Inputs that once ended in a traceback, NaN output or numpy warnings: each
+    must exit 2 with one error line, as seen from outside the process."""
+
+    @pytest.mark.parametrize("argv", [
+        ("matrix", "--l", "2", "--q", "1", "--weights", "ones", "--which", "toeplitz",
+         "--symbol", "(" * 3000 + "th" + ")" * 3000),
+        ("matrix", "--l", "6", "--q", "1e-30", "--weights", "ones",
+         "--which", "mult-right", "--symbol", "thb*th"),
+        ("gram", "--l", "2", "--q", "inf", "--weights", "1,1"),
+    ], ids=["deep-parentheses", "tiny-q", "infinite-q"])
+    def test_exit_2_with_one_error_line(self, argv):
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run([sys.executable, "-m", "pgquant", *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
 
 
 class TestGramCommand:

@@ -1,10 +1,13 @@
 """Each table-driven kernel pinned to its definition, beyond the grid sizes.
 
 The fast kernels (multiply, mult_operator, the closed Toeplitz map, the berezin
-route, the closed form, the Gram matrix, the anti-Wick product) gather and
-scatter over per-order index tables; these tests compare them with their
+route, the closed form, the Gram matrix, the anti-Wick product, the kernel
+projections and P_K, the closed coherent map, the definitional form) gather
+and scatter over per-order index tables; these tests compare them with their
 definitions, written as plain loops or as an independent route, also at orders
-the verify grid does not reach.
+the verify grid does not reach.  Where the loop is the route the table
+replaced, the comparison is exact: the table sums each output in the loop's
+order, so not a bit may move.
 """
 import itertools
 import math
@@ -19,9 +22,10 @@ import pytest
 
 import pgquant
 from pgquant import (AlgebraCtx, Const, Gen, PGElement, Pow, Sum, THETA,
-                     THETA_BAR, WeightSeq, anti_wick_product,
-                     coherent_quantization, form, from_free_expr, gram_matrix,
-                     mult_operator, multiply, normal_order, toeplitz)
+                     THETA_BAR, WeightSeq, anti_wick_product, aw_index,
+                     coherent_quantization, conjugate, form, from_free_expr,
+                     gram_matrix, mult_operator, multiply, normal_order,
+                     pk_operator, project_pk, project_pk_bar, toeplitz)
 from pgquant.verify import GRID_QS
 
 GRID_Q_VALUES = [q for _, q in GRID_QS]
@@ -33,6 +37,128 @@ def rand_element(rng, l):
 
 def rand_weights(rng, l):
     return WeightSeq(l, tuple(rng.uniform(0.25, 4.0, l)))
+
+
+def rand_sparse_element(rng, l):
+    """A dense random element with about a third of its coefficients exactly
+    zero (some as -0.0): the loops below skip zero coefficients, the tables
+    do not, and that must not move a bit."""
+    table = rand_element(rng, l).coeffs.copy()
+    zero = rng.random((l, l)) < 0.35
+    table[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    return PGElement(l, table)
+
+
+# --- the per-entry loops the index tables replaced, kept as references -------
+
+def loop_project_pk(F, w):
+    l = w.l
+    out = np.zeros((l, l), dtype=complex)
+    for a in range(l):
+        for b in range(l):
+            c = F.coeffs[a, b]
+            if c == 0 or not 0 <= a - b < l:
+                continue
+            out[a - b, 0] += c * w.ratio(a, a - b)
+    return out
+
+
+def loop_project_pk_bar(F, w):
+    l = w.l
+    out = np.zeros((l, l), dtype=complex)
+    for a in range(l):
+        for b in range(l):
+            c = F.coeffs[a, b]
+            if c == 0 or not 0 <= b - a < l:
+                continue
+            out[0, b - a] += c * w.ratio(b, b - a)
+    return out
+
+
+def loop_pk_operator(w):
+    l = w.l
+    P = np.zeros((l * l, l * l), dtype=complex)
+    for a in range(l):
+        for b in range(l):
+            img = loop_project_pk(PGElement.basis(l, a, b), w)
+            P[:, aw_index(l, a, b)] = img.reshape(-1)
+    return P
+
+
+def loop_coherent_closed(g, w):
+    l = w.l
+    A = np.zeros((l, l), dtype=complex)
+    for i in range(l):
+        for j in range(l):
+            gij = g.coeffs[i, j]
+            if gij == 0:
+                continue
+            for a in range(l):
+                if j + a < l and 0 <= j - i + a < l:
+                    A[j - i + a, a] += gij * w.w[j + a] / math.sqrt(
+                        w.w[j - i + a] * w.w[a])
+    return A
+
+
+def loop_form_definitional(f, g, w):
+    l = w.l
+    fc = conjugate(f).coeffs
+    gc = g.coeffs
+    terms = []
+    for m in range(l):
+        k = l - 1 - m
+        wt = w.w[k]
+        for a in range(k + 1):
+            for b in range(k + 1):
+                terms.append(wt * (fc[a, b] * gc[k - a, k - b]))
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+@pytest.mark.parametrize("l", range(2, 10))
+def test_projections_and_pk_operator_equal_their_loops(l):
+    rng = np.random.default_rng([l, 16])
+    for _ in range(3):
+        w = rand_weights(rng, l)
+        assert np.array_equal(pk_operator(w), loop_pk_operator(w))
+        for _ in range(4):
+            F = rand_sparse_element(rng, l)
+            assert np.array_equal(project_pk(F, w).coeffs, loop_project_pk(F, w))
+            assert np.array_equal(project_pk_bar(F, w).coeffs, loop_project_pk_bar(F, w))
+
+
+@pytest.mark.parametrize("q", GRID_Q_VALUES)
+@pytest.mark.parametrize("l", range(2, 10))
+def test_closed_coherent_quantization_equals_its_loop(l, q):
+    ctx = AlgebraCtx(l, q)
+    rng = np.random.default_rng([l, 17])
+    for _ in range(4):
+        w = rand_weights(rng, l)
+        g = rand_sparse_element(rng, l)
+        assert np.array_equal(coherent_quantization(g, w, ctx, "closed"),
+                              loop_coherent_closed(g, w))
+
+
+@pytest.mark.parametrize("l", range(2, 10))
+def test_definitional_form_equals_its_loop(l):
+    rng = np.random.default_rng([l, 18])
+    for _ in range(6):
+        w = rand_weights(rng, l)
+        f, g = rand_sparse_element(rng, l), rand_sparse_element(rng, l)
+        assert form(f, g, w, "definitional") == loop_form_definitional(f, g, w)
+
+
+@pytest.mark.parametrize("q", GRID_Q_VALUES)
+def test_projection_toeplitz_is_the_holomorphic_block_of_the_full_product(q):
+    l = 9
+    ctx = AlgebraCtx(l, q)
+    rng = np.random.default_rng([l, 19])
+    w = rand_weights(rng, l)
+    hol = np.arange(l) * l
+    for g in [rand_sparse_element(rng, l) for _ in range(3)] + [PGElement.basis(l, 4, 2)]:
+        full = (pk_operator(w) @ mult_operator(g, "right", ctx))[hol][:, hol]
+        got = toeplitz(g, w, ctx, "projection").matrix
+        scale = max(1.0, float(np.max(np.abs(full))))
+        assert float(np.max(np.abs(got - full))) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("q", GRID_Q_VALUES)
@@ -157,3 +283,16 @@ def test_constructors_reject_non_finite_input(bad):
         AlgebraCtx(3, bad)
     with pytest.raises(ValueError):
         AlgebraCtx(3, complex(1.0, bad))
+
+
+def test_context_rejects_q_whose_inverse_powers_overflow():
+    # q^-25 at l = 6 would be 1e750
+    with pytest.raises(ValueError, match="too small"):
+        AlgebraCtx(6, 1e-30)
+    with pytest.raises(ValueError, match="too small"):
+        AlgebraCtx(6, 1e-30j)
+    # 2^529 at l = 24, the largest order and smallest |q| the benchmark uses
+    assert np.all(np.isfinite(AlgebraCtx(24, 0.5).qinv_powers))
+    # q^-1 itself overflows for a subnormal q
+    with pytest.raises(ValueError, match="too small"):
+        AlgebraCtx(2, 1e-310)

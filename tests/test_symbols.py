@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgquant import (AlgebraCtx, Const, Gen, Neg, PGElement, ParseError, Pow,
                      Prod, QSym, Sum, THETA, THETA_BAR, format_element,
                      from_free_expr, parse)
+from pgquant.symbols import MAX_DEPTH
 
 CTX = AlgebraCtx(3, 2.0)
 
@@ -176,3 +179,25 @@ class TestFormat:
             back = from_free_expr(parse(format_element(f)), ctx)
             scale = max(1.0, np.max(np.abs(f.coeffs)))
             assert np.max(np.abs(back.coeffs - f.coeffs)) / scale < 1e-9
+
+
+class TestNestingDepth:
+    @given(depth=st.integers(0, 5000),
+           opener=st.sampled_from(["(", "-(", "2*(", "th+(", "-thb*("]),
+           closer=st.sampled_from([")", ")^2", ")*th", ")+1"]),
+           balanced=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_deep_parentheses_raise_parse_error_not_recursion_error(
+            self, depth, opener, closer, balanced):
+        text = opener * depth + "th" + closer * (depth if balanced else depth // 2)
+        if depth <= MAX_DEPTH and (balanced or depth == 0):
+            assert isinstance(from_free_expr(parse(text), CTX), PGElement)
+        else:
+            with pytest.raises(ParseError):
+                parse(text)
+
+    def test_limit_is_exact(self):
+        parse("(" * MAX_DEPTH + "th" + ")" * MAX_DEPTH)
+        with pytest.raises(ParseError, match="nested deeper") as exc:
+            parse("(" * (MAX_DEPTH + 1) + "th" + ")" * (MAX_DEPTH + 1))
+        assert exc.value.position == MAX_DEPTH
