@@ -25,6 +25,11 @@ from . import verify as verify_mod
 
 USAGE_ERROR = 2
 VERIFY_ERROR = 1
+# the largest order any command accepts; the index tables and the l^2 x l^2
+# matrices grow as l^4
+MAX_L = 32
+# options whose values may start with a minus sign ("-i", "-0.5+0.8i", "-th")
+_SIGNED_VALUE_OPTIONS = ("--q", "--symbol")
 
 
 class ConfigError(Exception):
@@ -250,7 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, need_weights=True):
-        p.add_argument("--l", type=int, required=True, help="algebra order (>= 2)")
+        p.add_argument("--l", type=int, required=True,
+                       help=f"algebra order, 2..{MAX_L}")
         p.add_argument("--q", default="1", help="deformation parameter, a+bi text")
         p.add_argument("--weights", required=need_weights,
                        help="comma list or preset: ones|factorial|qfactorial")
@@ -288,10 +294,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _glue_signed_values(argv: list) -> list:
+    """Write "--q -i" as "--q=-i".
+
+    argparse reads a separate token that starts with '-' as an option unless
+    it is a plain negative number, but always reads what follows '=' as the
+    value; tokens starting with "--" stay options.
+    """
+    out, k = [], 0
+    while k < len(argv):
+        token = argv[k]
+        value = argv[k + 1] if k + 1 < len(argv) else ""
+        if (token in _SIGNED_VALUE_OPTIONS and value.startswith("-")
+                and not value.startswith("--")):
+            out.append(f"{token}={value}")
+            k += 2
+        else:
+            out.append(token)
+            k += 1
+    return out
+
+
 def main(argv=None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_glue_signed_values(sys.argv[1:] if argv is None else list(argv)))
     try:
+        if args.l is not None and not 2 <= args.l <= MAX_L:
+            raise ConfigError(f"--l must be between 2 and {MAX_L}, got {args.l}")
         return args.fn(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .algebra import PGElement, aw_index
 
@@ -116,8 +115,51 @@ def gram_matrix(w: WeightSeq) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _gram_lu(w: WeightSeq):
-    return lu_factor(gram_matrix(w))
+def _charge_order(l: int):
+    """The Gram matrix at order l, regrouped by charge.
+
+    Entry ((a,b),(c,d)) vanishes unless the charges a-b and c-d agree, so
+    listing the flat positions a*l+b by charge s = a-b (s increasing, then a
+    increasing) makes the Gram matrix block diagonal.  Returns that order, its
+    inverse permutation and, per charge, the slice of the order the charge
+    occupies together with |s|; the block of charge s has size l-|s|.
+    """
+    a, b = np.divmod(np.arange(l * l), l)
+    order = np.lexsort((a, a - b))
+    unorder = np.argsort(order)
+    for arr in (order, unorder):
+        arr.flags.writeable = False
+    blocks, start = [], 0
+    for s in range(1 - l, l):
+        n = l - abs(s)
+        blocks.append((slice(start, start + n), abs(s)))
+        start += n
+    return order, unorder, tuple(blocks)
+
+
+@functools.lru_cache(maxsize=None)
+def _charge_hankels(w: WeightSeq):
+    """Two l x l arrays whose slices are the charge blocks and their inverses.
+
+    H[i, j] = w_{i+j} for i+j < l, else 0: the block of charge s, n = l-|s|,
+    is H[:n, |s|:].  Reversing its rows gives a lower triangular Toeplitz
+    matrix with diagonals w_{l-1}, w_{l-2}, ..., the same for every charge, so
+    every block inverts by back-substitution on the pivot w_{l-1} > 0.  With u
+    the power-series inverse of (w_{l-1}, ..., w_0), U[i, j] = u_{i+j-(l-1)}
+    for i+j >= l-1, else 0, and the inverse of the block of charge s is
+    U[|s|:, :n].
+    """
+    l = w.l
+    t = w.arr()[::-1]
+    u = [1.0 / t[0]]
+    for m in range(1, l):
+        u.append(-math.fsum((t[1:m + 1] * u[::-1]).tolist()) / t[0])
+    k = np.add.outer(np.arange(l), np.arange(l))
+    H = np.where(k < l, w.arr()[np.minimum(k, l - 1)], 0.0)
+    U = np.where(k >= l - 1, np.array(u)[np.maximum(k - (l - 1), 0)], 0.0)
+    for arr in (H, U):
+        arr.flags.writeable = False
+    return H, U
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,12 +219,29 @@ def form(f: PGElement, g: PGElement, w: WeightSeq, mode: str = "closed") -> comp
 
 
 def adjoint_wrt_form(A: np.ndarray, w: WeightSeq) -> np.ndarray:
-    """A* with <A f, g>_w = <f, A* g>_w over the full algebra: G^{-1} A^H G."""
+    """A* with <A f, g>_w = <f, A* g>_w over the full algebra: G^{-1} A^H G.
+
+    Works charge block by charge block: in the charge order G is block
+    diagonal and symmetric, so (A^H G)^T = G conj(A) and both products are
+    row-block products with real blocks.
+    """
     A = np.asarray(A, dtype=complex)
-    n = w.l * w.l
-    if A.shape != (n, n):
-        raise ValueError(f"operator must be {n}x{n}")
-    return lu_solve(_gram_lu(w), np.conj(A.T) @ gram_matrix(w))
+    l = w.l
+    if A.shape != (l * l, l * l):
+        raise ValueError(f"operator must be {l * l}x{l * l}")
+    order, unorder, blocks = _charge_order(l)
+    H, U = _charge_hankels(w)
+    # viewed as float, a C-ordered complex array holds re and im side by side
+    # in each row, so a real block times a block of rows is one real product
+    Y = np.conj(A)[np.ix_(order, order)]
+    Yr = Y.view(np.float64)
+    for rows, s in blocks:
+        Yr[rows] = H[:l - s, s:] @ Yr[rows]
+    X = np.ascontiguousarray(Y.T)
+    Xr = X.view(np.float64)
+    for rows, s in blocks:
+        Xr[rows] = U[s:, :l - s] @ Xr[rows]
+    return X[np.ix_(unorder, unorder)]
 
 
 def orthonormal_phi(j: int, w: WeightSeq) -> PGElement:

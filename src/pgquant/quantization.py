@@ -160,6 +160,21 @@ def _toeplitz_support(l: int):
     return table
 
 
+@functools.lru_cache(maxsize=None)
+def _holomorphic_right_support(l: int):
+    """The entries of product_support(l) whose left factor is holomorphic
+    (b = 0, so the phase q^{-bc} is 1), as flat index arrays of the right
+    factor's position and of the place the term lands in the l^2 x l matrix of
+    F -> F*g restricted to holomorphic F: row (a+c)*l+d, column a.  Each place
+    receives exactly one term."""
+    left, right, _, cells = product_support(l)
+    keep = left % l == 0
+    table = (right[keep], cells[keep] * l + left[keep] // l)
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
 def toeplitz(g: PGElement, w: WeightSeq, ctx: AlgebraCtx, mode: str = "closed") -> OperatorBH:
     """Toeplitz operator of the symbol g on the holomorphic subspace.
 
@@ -178,8 +193,10 @@ def toeplitz(g: PGElement, w: WeightSeq, ctx: AlgebraCtx, mode: str = "closed") 
         return OperatorBH(l, scatter_sum(cells, terms, l * l).reshape(l, l), MONOMIAL)
     if mode == "projection":
         # only the holomorphic rows of P and columns of M reach the block kept
-        hol = np.arange(l) * l
-        comp = pk_operator(w)[hol, :] @ mult_operator(g, "right", ctx)[:, hol]
+        g_at, places = _holomorphic_right_support(l)
+        M = np.zeros(l ** 3, dtype=complex)
+        M[places] = g.coeffs.ravel()[g_at]
+        comp = pk_operator(w)[np.arange(l) * l, :] @ M.reshape(l * l, l)
         return OperatorBH(l, comp, MONOMIAL)
     raise ValueError(f"unknown toeplitz mode {mode!r}")
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -6,9 +8,11 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgquant import AlgebraCtx, PGElement, WeightSeq, toeplitz
-from pgquant.cli import main, parse_complex, parse_weights, ConfigError
+from pgquant.cli import MAX_L, main, parse_complex, parse_weights, ConfigError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -145,6 +149,53 @@ class TestNonFiniteInput:
     def test_non_finite_spellings(self, text):
         with pytest.raises(ConfigError, match="not finite"):
             parse_complex(text)
+
+
+class TestSignedValues:
+    """A value that starts with '-' may follow its option as a separate token."""
+
+    @pytest.mark.parametrize("option,value,rest", [
+        ("--q", "-i", ("gram", "--l", "2", "--weights", "1,1")),
+        ("--q", "-0.5+0.8i", ("gram", "--l", "2", "--weights", "1,1")),
+        ("--q", "-0.5+0.8i", ("verify", "--l", "2", "--weights", "ones")),
+        ("--symbol", "-th", ("matrix", "--l", "3", "--weights", "1,2,3",
+                             "--which", "toeplitz")),
+        ("--symbol", "-(th + 1)*thb", ("matrix", "--l", "3", "--q", "-1",
+                                       "--weights", "ones", "--which", "coherent")),
+    ])
+    def test_separate_and_glued_forms_agree(self, capsys, option, value, rest):
+        code, out, err = run(capsys, *rest, option, value)
+        assert (code, err) == (0, "")
+        assert run(capsys, *rest, f"{option}={value}") == (code, out, err)
+
+    def test_a_following_option_is_not_taken_as_the_value(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gram", "--l", "2", "--q", "--weights", "1,1"])
+        assert exc.value.code == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
+class TestOrderBound:
+    @given(command=st.sampled_from([
+               ("gram", "--weights", "ones"),
+               ("spectrum", "--weights", "ones"),
+               ("matrix", "--weights", "ones", "--which", "pk"),
+               ("matrix", "--weights", "ones", "--which", "mult-right", "--symbol", "th"),
+               ("verify",)]),
+           l=st.one_of(st.integers(max_value=1), st.integers(min_value=MAX_L + 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_out_of_range_order_exits_2_before_any_work(self, command, l):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command[0], "--l", str(l), *command[1:]])
+        assert code == 2
+        assert out.getvalue() == ""
+        assert err.getvalue() == f"error: --l must be between 2 and {MAX_L}, got {l}\n"
+
+    @pytest.mark.parametrize("l", [2, 6])
+    def test_in_range_orders_run(self, capsys, l):
+        code, out, _ = run(capsys, "gram", "--l", str(l), "--weights", "ones")
+        assert code == 0 and len(json.loads(out)["rows"]) == l * l
 
 
 class TestUsageErrorsInAFreshProcess:
