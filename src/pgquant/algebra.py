@@ -37,10 +37,6 @@ class AlgebraCtx:
             raise ValueError(f"q^-k overflows for some k <= {(self.l - 1) ** 2}: "
                              f"|q| = {abs(q)} is too small for order l = {self.l}")
 
-    def chi(self, k: int) -> int:
-        """1 if k is a valid exponent index (0 <= k < l), else 0."""
-        return 1 if 0 <= k < self.l else 0
-
     @functools.cached_property
     def qinv_powers(self) -> np.ndarray:
         """q^{-k} for k = 0..(l-1)^2, built by repeated multiplication so that

@@ -146,7 +146,11 @@ def cmd_gram(args) -> int:
     q = parse_complex(args.q)
     w = parse_weights(args.weights, l, q)
     G = gram_matrix(w)
-    det = float(np.linalg.det(G))
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = float(np.linalg.det(G))
+    if not math.isfinite(det):
+        raise ConfigError(f"the Gram determinant is not a finite float at l = {l} "
+                          f"for these weights (it is {det!r})")
     if args.format == "json":
         payload = {"l": l, "q": _complex_pair(q), "weights": list(w.w),
                    "basis": "aw", "determinant": det, "rows": _matrix_rows(G)}
@@ -195,25 +199,18 @@ def cmd_verify(args) -> int:
             seed = int(os.environ["PG_SEED"])
         except ValueError:
             raise ConfigError("PG_SEED must be an integer")
+    if not 0 < args.tolerance < math.inf:
+        raise ConfigError(f"--tolerance must be finite and > 0, got {args.tolerance!r}")
     ls = (args.l,) if args.l else verify_mod.GRID_LS
-    if args.q:
-        qs = ((args.q, parse_complex(args.q)),)
-    else:
-        qs = verify_mod.GRID_QS
+    qs = ((args.q, parse_complex(args.q)),) if args.q else verify_mod.GRID_QS
+    if args.weights:
+        w_id = "custom" if "," in args.weights else args.weights
 
-    results = []
-    for l in ls:
-        for q_id, q in qs:
-            if args.weights:
-                points = [("custom" if "," in args.weights else args.weights,
-                           parse_weights(args.weights, l, q))]
-            else:
-                points = [(w_id, verify_mod.grid_weights(w_id, l))
-                          for w_id in verify_mod.GRID_WEIGHT_IDS]
-            for w_id, w in points:
-                results.extend(verify_mod.run_point(
-                    l, q_id, q, w_id, w, seed=seed, tol=args.tolerance))
-    results.sort(key=lambda r: (r.check, r.l, r.q_id, r.w_id))
+        def weights(l, q):
+            return [(w_id, parse_weights(args.weights, l, q))]
+    else:
+        weights = verify_mod.grid_point_weights
+    results = verify_mod.run_grid(ls, qs, weights, seed=seed, tol=args.tolerance)
 
     failures = [r for r in results if r.status == "fail"]
     if args.format == "json":
@@ -254,13 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, need_weights=True):
+    def common(p):
         p.add_argument("--l", type=int, required=True,
                        help=f"algebra order, 2..{MAX_L}")
         p.add_argument("--q", default="1", help="deformation parameter, a+bi text")
-        p.add_argument("--weights", required=need_weights,
+        p.add_argument("--weights", required=True,
                        help="comma list or preset: ones|factorial|qfactorial")
-        p.add_argument("--tolerance", type=float, default=1e-9)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="write here instead of stdout")
 
@@ -284,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--l", type=int, default=None)
     p_verify.add_argument("--q", default=None)
     p_verify.add_argument("--weights", default=None)
-    p_verify.add_argument("--grid", choices=("default",), default="default")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tolerance", type=float, default=1e-9)
+    p_verify.add_argument("--tolerance", type=float, default=verify_mod.DEFAULT_TOL,
+                          help="pass a check whose residual is below this; finite and > 0")
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
     p_verify.add_argument("--output", default=None)
     p_verify.set_defaults(fn=cmd_verify)

@@ -20,7 +20,7 @@ WEIGHT_PRESETS = ("ones", "factorial", "qfactorial")
 
 @dataclass(frozen=True)
 class WeightSeq:
-    """Strictly positive weights w_0..w_{l-1}; out-of-range access reads as 0."""
+    """Strictly positive weights w_0..w_{l-1}."""
 
     l: int
     w: tuple
@@ -38,17 +38,11 @@ class WeightSeq:
         values = tuple(values)
         return cls(len(values), values)
 
-    def at(self, n: int) -> float:
-        """w_n, with the convention w_n = 0 outside 0 <= n < l."""
-        if 0 <= n < self.l:
-            return self.w[n]
-        return 0.0
-
     def ratio(self, num: int, den: int) -> float:
         """w_num / w_den, defined as 0 when either index is out of range.
 
-        Every use site multiplies by a cutoff that vanishes exactly when an
-        index escapes the range, so the bad weight is never read.
+        The entry-by-entry reference loops in the tests read it; the package's
+        own kernels index the weight array through their range-guarded tables.
         """
         if 0 <= num < self.l and 0 <= den < self.l:
             return self.w[num] / self.w[den]

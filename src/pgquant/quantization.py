@@ -329,15 +329,17 @@ def matrix_rank(M: np.ndarray, rel_threshold: float = 1e-9) -> int:
     return int(np.sum(s > rel_threshold * s[0]))
 
 
+def span_rank(ops) -> int:
+    """Dimension of the linear span of the matrices in ops: the matrix_rank of
+    the matrix whose columns are the flattened operators."""
+    return matrix_rank(np.array([op.reshape(-1) for op in ops]).T)
+
+
 def wick_rank_probe(w: WeightSeq, ctx: AlgebraCtx) -> int:
     """Rank of the span of the reverse-ordered products creation^i
     annihilation^j; reported as informational only."""
     l = ctx.l
     lad = ladder_set(w, ctx)
-    cols = []
-    for i in range(l):
-        for j in range(l):
-            op = (np.linalg.matrix_power(lad.creation.matrix, i)
-                  @ np.linalg.matrix_power(lad.annihilation.matrix, j))
-            cols.append(op.reshape(-1))
-    return matrix_rank(np.array(cols).T)
+    return span_rank(np.linalg.matrix_power(lad.creation.matrix, i)
+                     @ np.linalg.matrix_power(lad.annihilation.matrix, j)
+                     for i in range(l) for j in range(l))

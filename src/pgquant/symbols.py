@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 
 from .algebra import (THETA, THETA_BAR, Const, FreeExpr, Gen, Neg, PGElement,
-                      Pow, Prod, QSym, Sum, aw_index)
+                      Pow, Prod, QSym, Sum)
 
 _MINUS = ("-", "−")
 

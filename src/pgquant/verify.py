@@ -12,13 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra as alg
-from .algebra import AlgebraCtx, PGElement, aw_index
+from .algebra import AlgebraCtx, PGElement
 from .forms import WeightSeq, adjoint_wrt_form, form, gram_matrix, orthonormal_phi, preset_weights
-from . import quantization as qz
-from .quantization import (MONOMIAL, OperatorBH, coherent_quantization, convert_basis,
-                           ladder_set, matrix_rank, mult_operator, operator_norm_bh,
-                           pk_operator, project_pk, toeplitz, toeplitz_adjoint,
-                           toeplitz_flat, toeplitz_orthonormal)
+from .quantization import (coherent_quantization, ladder_set, matrix_rank, mult_operator,
+                           operator_norm_bh, pk_operator, project_pk, span_rank, toeplitz,
+                           toeplitz_adjoint, toeplitz_flat, toeplitz_orthonormal)
 
 GRID_LS = (2, 3, 4, 5, 6)
 GRID_QS = (
@@ -43,6 +41,11 @@ def grid_weights(weight_id: str, l: int) -> WeightSeq:
     raise ValueError(f"unknown grid weight id {weight_id!r}")
 
 
+def grid_point_weights(l: int, q: complex) -> list:
+    """The (weight id, weights) pairs of the default grid at order l."""
+    return [(w_id, grid_weights(w_id, l)) for w_id in GRID_WEIGHT_IDS]
+
+
 def random_element(rng: np.random.Generator, l: int, holomorphic: bool = False,
                    anti_holomorphic: bool = False) -> PGElement:
     table = rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l))
@@ -53,11 +56,16 @@ def random_element(rng: np.random.Generator, l: int, holomorphic: bool = False,
     return PGElement(l, table)
 
 
+def _max_abs(x) -> float:
+    """The residual of an identity: the largest entry magnitude of x."""
+    return float(np.max(np.abs(x)))
+
+
 def _vec_bh(x: np.ndarray, l: int) -> np.ndarray:
-    """Embed holomorphic coordinates into the full l^2 coefficient vector."""
+    """Embed holomorphic coordinates (positions a*l of th^a) into the full
+    l^2 coefficient vector."""
     out = np.zeros(l * l, dtype=complex)
-    for a in range(l):
-        out[aw_index(l, a, 0)] = x[a]
+    out[::l] = x
     return out
 
 
@@ -105,7 +113,7 @@ def check_normal_order_oracle(ctx, w, rng, tol):
         for word in itertools.product((alg.THETA, alg.THETA_BAR), repeat=length):
             got = alg.normal_order(word, ctx)
             want = _rewrite_words(word, ctx)
-            worst = max(worst, float(np.max(np.abs(got.coeffs - want.coeffs))))
+            worst = max(worst, _max_abs(got.coeffs - want.coeffs))
     return worst, None
 
 
@@ -115,8 +123,8 @@ def check_associativity(ctx, w, rng, tol):
         f, g, h = (random_element(rng, ctx.l) for _ in range(3))
         lhs = alg.multiply(alg.multiply(f, g, ctx), h, ctx)
         rhs = alg.multiply(f, alg.multiply(g, h, ctx), ctx)
-        scale = max(1.0, float(np.max(np.abs(rhs.coeffs))))
-        worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))) / scale)
+        scale = max(1.0, _max_abs(rhs.coeffs))
+        worst = max(worst, _max_abs(lhs.coeffs - rhs.coeffs) / scale)
     return worst, None
 
 
@@ -124,7 +132,7 @@ def check_defining_relation(ctx, w, rng, tol):
     th = PGElement.basis(ctx.l, 1, 0)
     thb = PGElement.basis(ctx.l, 0, 1)
     res = alg.multiply(th, thb, ctx) - ctx.q * alg.multiply(thb, th, ctx)
-    return float(np.max(np.abs(res.coeffs))), None
+    return _max_abs(res.coeffs), None
 
 
 def check_star_criterion(ctx, w, rng, tol):
@@ -134,7 +142,7 @@ def check_star_criterion(ctx, w, rng, tol):
     th = PGElement.basis(ctx.l, 1, 0)
     witness = alg.conjugate(alg.multiply(thb, th, ctx)) - alg.multiply(
         alg.conjugate(th), alg.conjugate(thb), ctx)
-    witness_res = float(np.max(np.abs(witness.coeffs)))
+    witness_res = _max_abs(witness.coeffs)
     if ctx.q.imag == 0:
         worst = witness_res
         for _ in range(10):
@@ -142,8 +150,8 @@ def check_star_criterion(ctx, w, rng, tol):
             prod = alg.multiply(f, g, ctx)
             res = alg.conjugate(prod) - alg.multiply(
                 alg.conjugate(g), alg.conjugate(f), ctx)
-            scale = max(1.0, float(np.max(np.abs(prod.coeffs))))
-            worst = max(worst, float(np.max(np.abs(res.coeffs))) / scale)
+            scale = max(1.0, _max_abs(prod.coeffs))
+            worst = max(worst, _max_abs(res.coeffs) / scale)
         return worst, None
     # complex q: the violation itself is the expected outcome
     if witness_res > tol:
@@ -158,7 +166,7 @@ def check_holomorphic_conjugation(ctx, w, rng, tol):
         g = random_element(rng, ctx.l, holomorphic=True)
         res = alg.conjugate(alg.multiply(f, g, ctx)) - alg.multiply(
             alg.conjugate(f), alg.conjugate(g), ctx)
-        worst = max(worst, float(np.max(np.abs(res.coeffs))))
+        worst = max(worst, _max_abs(res.coeffs))
     return worst, None
 
 
@@ -193,7 +201,7 @@ def check_free_expr_linearity(ctx, w, rng, tol):
         combined = alg.Sum((alg.Prod((alg.Const(a), e1)), alg.Prod((alg.Const(b), e2))))
         lhs = alg.from_free_expr(combined, ctx)
         rhs = a * alg.from_free_expr(e1, ctx) + b * alg.from_free_expr(e2, ctx)
-        worst = max(worst, float(np.max(np.abs(lhs.coeffs - rhs.coeffs))))
+        worst = max(worst, _max_abs(lhs.coeffs - rhs.coeffs))
     return worst, None
 
 
@@ -209,7 +217,7 @@ def check_form_mode_agreement(ctx, w, rng, tol):
 
 def check_gram_properties(ctx, w, rng, tol):
     G = gram_matrix(w)
-    asym = float(np.max(np.abs(G - G.T)))
+    asym = _max_abs(G - G.T)
     full = matrix_rank(G) == w.l * w.l
     sub = np.array([[form(PGElement.basis(w.l, a, 0), PGElement.basis(w.l, c, 0), w)
                      for c in range(w.l)] for a in range(w.l)])
@@ -229,8 +237,7 @@ def check_adjoint_wrt_form(ctx, w, rng, tol):
         lhs = form(PGElement.from_vector(l, A @ f.vector()), g, w)
         rhs = form(f, PGElement.from_vector(l, Astar @ g.vector()), w)
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    worst = max(worst, float(np.max(np.abs(adjoint_wrt_form(Astar, w) - A))) /
-                max(1.0, float(np.max(np.abs(A)))))
+    worst = max(worst, _max_abs(adjoint_wrt_form(Astar, w) - A) / max(1.0, _max_abs(A)))
     return worst, None
 
 
@@ -248,8 +255,8 @@ def check_orthonormal_basis(ctx, w, rng, tol):
 def check_pk_projection(ctx, w, rng, tol):
     l = ctx.l
     P = pk_operator(w)
-    worst = float(np.max(np.abs(P @ P - P)))
-    worst = max(worst, float(np.max(np.abs(adjoint_wrt_form(P, w) - P))))
+    worst = _max_abs(P @ P - P)
+    worst = max(worst, _max_abs(adjoint_wrt_form(P, w) - P))
     if matrix_rank(P) != l:
         return 1.0, None
     # identity on the holomorphic subspace, and mode agreement on random input
@@ -257,26 +264,21 @@ def check_pk_projection(ctx, w, rng, tol):
         F = random_element(rng, l)
         closed = project_pk(F, w, "closed")
         kernel = project_pk(F, w, "kernel")
-        worst = max(worst, float(np.max(np.abs(closed.coeffs - kernel.coeffs))))
+        worst = max(worst, _max_abs(closed.coeffs - kernel.coeffs))
         h = random_element(rng, l, holomorphic=True)
-        worst = max(worst, float(np.max(np.abs(project_pk(h, w).coeffs - h.coeffs))))
+        worst = max(worst, _max_abs(project_pk(h, w).coeffs - h.coeffs))
     return worst, None
 
 
 def check_toeplitz_dual_path(ctx, w, rng, tol):
     l = ctx.l
     worst = 0.0
-    for i in range(l):
-        for j in range(l):
-            g = PGElement.basis(l, i, j)
-            worst = max(worst, float(np.max(np.abs(
-                toeplitz(g, w, ctx, "closed").matrix
-                - toeplitz(g, w, ctx, "projection").matrix))))
-    for _ in range(50):
-        g = random_element(rng, l)
-        worst = max(worst, float(np.max(np.abs(
-            toeplitz(g, w, ctx, "closed").matrix
-            - toeplitz(g, w, ctx, "projection").matrix))))
+    # every basis symbol, then 50 random ones drawn as the loop reaches them
+    symbols = itertools.chain((PGElement.basis(l, i, j) for i in range(l) for j in range(l)),
+                              (random_element(rng, l) for _ in range(50)))
+    for g in symbols:
+        worst = max(worst, _max_abs(toeplitz(g, w, ctx, "closed").matrix
+                                    - toeplitz(g, w, ctx, "projection").matrix))
     return worst, None
 
 
@@ -296,17 +298,10 @@ def check_compression_identity(ctx, w, rng, tol):
     return worst, None
 
 
-def _toeplitz_vectorization(w, ctx):
-    l = ctx.l
-    cols = []
-    for i in range(l):
-        for j in range(l):
-            cols.append(toeplitz(PGElement.basis(l, i, j), w, ctx).matrix.reshape(-1))
-    return np.array(cols).T
-
-
 def check_toeplitz_iso_rank(ctx, w, rng, tol):
-    ok = matrix_rank(_toeplitz_vectorization(w, ctx)) == ctx.l * ctx.l
+    l = ctx.l
+    ok = span_rank(toeplitz(PGElement.basis(l, i, j), w, ctx).matrix
+                   for i in range(l) for j in range(l)) == l * l
     return (0.0 if ok else 1.0), None
 
 
@@ -327,8 +322,8 @@ def check_column_structure(ctx, w, rng, tol):
                     oexpect = w.w[a + i] / np.sqrt(w.w[a] * w.w[a + i - j])
                     worst = max(worst, abs(ocol[i + a - j] - oexpect))
                     ocol[i + a - j] = 0
-                worst = max(worst, float(np.max(np.abs(col))))
-                worst = max(worst, float(np.max(np.abs(ocol))))
+                worst = max(worst, _max_abs(col))
+                worst = max(worst, _max_abs(ocol))
     return worst, None
 
 
@@ -339,12 +334,12 @@ def check_adjoint_symbol_rule(ctx, w, rng, tol):
         g = random_element(rng, l)
         lhs = toeplitz_adjoint(toeplitz(g, w, ctx), w).matrix
         rhs = toeplitz(alg.conjugate(g), w, ctx).matrix
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        worst = max(worst, _max_abs(lhs - rhs))
     # corollary witnesses: a self-adjoint symbol gives a self-adjoint operator,
     # a non-self-adjoint symbol does not
     g_sa = PGElement.basis(l, 1, 0) + PGElement.basis(l, 0, 1) + PGElement.basis(l, 1, 1)
     T = toeplitz(g_sa, w, ctx)
-    worst = max(worst, float(np.max(np.abs(toeplitz_adjoint(T, w).matrix - T.matrix))))
+    worst = max(worst, _max_abs(toeplitz_adjoint(T, w).matrix - T.matrix))
     g_nsa = PGElement.basis(l, 1, 0)
     Tn = toeplitz(g_nsa, w, ctx)
     if np.allclose(toeplitz_adjoint(Tn, w).matrix, Tn.matrix, atol=tol):
@@ -363,9 +358,9 @@ def check_multiplicativity(ctx, w, rng, tol):
         for a, b in ((g1, g2), (h1, h2)):
             Ta, Tb = toeplitz(a, w, ctx).matrix, toeplitz(b, w, ctx).matrix
             Tab = toeplitz(alg.multiply(a, b, ctx), w, ctx).matrix
-            scale = max(1.0, float(np.max(np.abs(Tab))))
-            worst = max(worst, float(np.max(np.abs(Ta @ Tb - Tab))) / scale)
-            worst = max(worst, float(np.max(np.abs(Tb @ Ta - Tab))) / scale)
+            scale = max(1.0, _max_abs(Tab))
+            worst = max(worst, _max_abs(Ta @ Tb - Tab) / scale)
+            worst = max(worst, _max_abs(Tb @ Ta - Tab) / scale)
     return worst, None
 
 
@@ -378,20 +373,16 @@ def check_anti_wick_factorization(ctx, w, rng, tol):
             direct = toeplitz(PGElement.basis(l, i, j), w, ctx).matrix
             factored = (np.linalg.matrix_power(lad.annihilation.matrix, j)
                         @ np.linalg.matrix_power(lad.creation.matrix, i))
-            worst = max(worst, float(np.max(np.abs(direct - factored))))
+            worst = max(worst, _max_abs(direct - factored))
     return worst, None
 
 
 def check_operator_basis_rank(ctx, w, rng, tol):
     l = ctx.l
     lad = ladder_set(w, ctx)
-    cols = []
-    for i in range(l):
-        for j in range(l):
-            op = (np.linalg.matrix_power(lad.annihilation.matrix, j)
-                  @ np.linalg.matrix_power(lad.creation.matrix, i))
-            cols.append(op.reshape(-1))
-    ok = matrix_rank(np.array(cols).T) == l * l
+    ok = span_rank(np.linalg.matrix_power(lad.annihilation.matrix, j)
+                   @ np.linalg.matrix_power(lad.creation.matrix, i)
+                   for i in range(l) for j in range(l)) == l * l
     return (0.0 if ok else 1.0), None
 
 
@@ -401,17 +392,14 @@ def check_quantization_equivalences(ctx, w, rng, tol):
     for _ in range(50):
         g = random_element(rng, l)
         A = coherent_quantization(alg.z_map(g), w, ctx)
-        worst = max(worst, float(np.max(np.abs(A - toeplitz_orthonormal(g, w, ctx).matrix))))
-        worst = max(worst, float(np.max(np.abs(
-            toeplitz_flat(g, w, ctx) - coherent_quantization(g, w, ctx)))))
+        worst = max(worst, _max_abs(A - toeplitz_orthonormal(g, w, ctx).matrix))
+        worst = max(worst, _max_abs(toeplitz_flat(g, w, ctx) - coherent_quantization(g, w, ctx)))
     for _ in range(10):
         g = random_element(rng, l)
-        worst = max(worst, float(np.max(np.abs(
-            coherent_quantization(g, w, ctx, "closed")
-            - coherent_quantization(g, w, ctx, "berezin")))))
-    cols = [coherent_quantization(PGElement.basis(l, i, j), w, ctx).reshape(-1)
-            for i in range(l) for j in range(l)]
-    if matrix_rank(np.array(cols).T) != l * l:
+        worst = max(worst, _max_abs(coherent_quantization(g, w, ctx, "closed")
+                                    - coherent_quantization(g, w, ctx, "berezin")))
+    if span_rank(coherent_quantization(PGElement.basis(l, i, j), w, ctx)
+                 for i in range(l) for j in range(l)) != l * l:
         return 1.0, None
     return worst, None
 
@@ -421,11 +409,10 @@ def check_mixed_products(ctx, w, rng, tol):
     T_eta = toeplitz(PGElement.basis(l, 1, 0), w, ctx).matrix
     T_etabar = toeplitz(PGElement.basis(l, 0, 1), w, ctx).matrix
     T_mixed = toeplitz(PGElement.basis(l, 1, 1), w, ctx).matrix
-    worst = float(np.max(np.abs(T_mixed - T_etabar @ T_eta)))
+    worst = _max_abs(T_mixed - T_etabar @ T_eta)
     # the reversed word normal-orders to q^{-1} th thb, so q * T of it matches
     reversed_symbol = alg.normal_order((alg.THETA_BAR, alg.THETA), ctx)
-    worst = max(worst, float(np.max(np.abs(
-        ctx.q * toeplitz(reversed_symbol, w, ctx).matrix - T_mixed))))
+    worst = max(worst, _max_abs(ctx.q * toeplitz(reversed_symbol, w, ctx).matrix - T_mixed))
     return worst, None
 
 
@@ -435,15 +422,13 @@ def check_q_commute_compression(ctx, w, rng, tol):
     thb = PGElement.basis(l, 0, 1)
     M_th = mult_operator(th, "right", ctx)
     M_thb = mult_operator(thb, "right", ctx)
-    worst = float(np.max(np.abs(M_thb @ M_th - ctx.q * M_th @ M_thb)))
-    hol = np.array([aw_index(l, a, 0) for a in range(l)])
+    worst = _max_abs(M_thb @ M_th - ctx.q * M_th @ M_thb)
     P = pk_operator(w)
-    comp_thb = (P @ M_thb)[np.ix_(hol, hol)]
-    comp_th = (P @ M_th)[np.ix_(hol, hol)]
-    worst = max(worst, float(np.max(np.abs(
-        comp_thb - toeplitz(thb, w, ctx).matrix))))
-    worst = max(worst, float(np.max(np.abs(
-        comp_th - toeplitz(th, w, ctx).matrix))))
+    # the holomorphic block: rows and columns a*l of th^a
+    comp_thb = (P @ M_thb)[::l, ::l]
+    comp_th = (P @ M_th)[::l, ::l]
+    worst = max(worst, _max_abs(comp_thb - toeplitz(thb, w, ctx).matrix))
+    worst = max(worst, _max_abs(comp_th - toeplitz(th, w, ctx).matrix))
     return worst, None
 
 
@@ -452,9 +437,9 @@ def check_number_operator(ctx, w, rng, tol):
     lad = ladder_set(w, ctx)
     N = lad.number.matrix
     off = N - np.diag(np.diag(N))
-    worst = float(np.max(np.abs(off)))
+    worst = _max_abs(off)
     diag = np.real(np.diag(N))
-    worst = max(worst, float(np.max(np.abs(np.sort(diag) - np.sort(lad.deformed_ints)))))
+    worst = max(worst, _max_abs(np.sort(diag) - np.sort(lad.deformed_ints)))
     if np.any(diag < -tol):
         return 1.0, None
     D = w.arr()
@@ -473,7 +458,7 @@ def check_diagonal_symbols(ctx, w, rng, tol):
     for i in range(l):
         M = toeplitz(PGElement.basis(l, i, i), w, ctx).matrix
         off = M - np.diag(np.diag(M))
-        worst = max(worst, float(np.max(np.abs(off))))
+        worst = max(worst, _max_abs(off))
         diag = np.real(np.diag(M))
         for a in range(l):
             expect = w.w[i + a] / w.w[a] if i + a < l else 0.0
@@ -487,16 +472,15 @@ def check_ladder_facts(ctx, w, rng, tol):
     l = ctx.l
     lad = ladder_set(w, ctx)
     for name, op in (("creation", lad.creation.matrix), ("annihilation", lad.annihilation.matrix)):
-        if float(np.max(np.abs(np.linalg.matrix_power(op, l)))) > tol:
+        if _max_abs(np.linalg.matrix_power(op, l)) > tol:
             return 1.0, f"{name} power l not zero"
-        if float(np.max(np.abs(np.linalg.matrix_power(op, l - 1)))) <= tol:
+        if _max_abs(np.linalg.matrix_power(op, l - 1)) <= tol:
             return 1.0, f"{name} power l-1 vanished"
         if matrix_rank(op) != l - 1:
             return 1.0, f"{name} kernel not one-dimensional"
-    worst = float(np.max(np.abs(lad.creation.matrix[:, l - 1])))  # ker T_eta = span th^{l-1}
-    worst = max(worst, float(np.max(np.abs(lad.annihilation.matrix[:, 0]))))  # ker = span 1
-    worst = max(worst, float(np.max(np.abs(
-        lad.number.matrix - lad.creation.matrix @ lad.annihilation.matrix))))
+    worst = _max_abs(lad.creation.matrix[:, l - 1])  # ker T_eta = span th^{l-1}
+    worst = max(worst, _max_abs(lad.annihilation.matrix[:, 0]))  # ker = span 1
+    worst = max(worst, _max_abs(lad.number.matrix - lad.creation.matrix @ lad.annihilation.matrix))
     return worst, None
 
 
@@ -522,7 +506,7 @@ def check_reproducing_truncation(ctx, w, rng, tol):
     for j in range(l):
         truncated = truncated + coeffs[j] * PGElement.basis(l, j, 0)
     res = project_pk(image, w).coeffs - truncated.coeffs
-    return float(np.max(np.abs(res))), None
+    return _max_abs(res), None
 
 
 CHECKS = (
@@ -564,11 +548,11 @@ def run_point(l: int, q_id: str, q: complex, w_id: str, w: WeightSeq,
     ctx = AlgebraCtx(l, q)
     results = []
     selected = checks if checks is not None else CHECK_NAMES
+    w_key = GRID_WEIGHT_IDS.index(w_id) if w_id in GRID_WEIGHT_IDS else 99
+    q_key = sum(ord(c) for c in q_id)  # stable across processes
     for idx, (name, fn) in enumerate(CHECKS):
         if name not in selected:
             continue
-        w_key = GRID_WEIGHT_IDS.index(w_id) if w_id in GRID_WEIGHT_IDS else 99
-        q_key = sum(ord(c) for c in q_id)  # stable across processes
         rng = np.random.default_rng([seed, idx, l, w_key, q_key])
         residual, note = fn(ctx, w, rng, tol)
         if note == "expected-fail (q not real)":
@@ -580,14 +564,14 @@ def run_point(l: int, q_id: str, q: complex, w_id: str, w: WeightSeq,
     return results
 
 
-def run_grid(ls=GRID_LS, qs=GRID_QS, weight_ids=GRID_WEIGHT_IDS,
-             seed: int = 0, tol: float = DEFAULT_TOL, checks=None) -> list[CheckResult]:
+def run_grid(ls=GRID_LS, qs=GRID_QS, weights=grid_point_weights,
+             seed: int = 0, tol: float = DEFAULT_TOL) -> list[CheckResult]:
+    """Every check at every (l, q, weights) point, sorted by check, l, q id and
+    weight id.  weights(l, q) gives the (weight id, WeightSeq) pairs of (l, q)."""
     results = []
     for l in ls:
         for q_id, q in qs:
-            for w_id in weight_ids:
-                w = grid_weights(w_id, l)
-                results.extend(run_point(l, q_id, q, w_id, w, seed=seed, tol=tol,
-                                         checks=checks))
+            for w_id, w in weights(l, q):
+                results.extend(run_point(l, q_id, q, w_id, w, seed=seed, tol=tol))
     results.sort(key=lambda r: (r.check, r.l, r.q_id, r.w_id))
     return results

@@ -244,7 +244,3 @@ class TestCtxValidation:
     def test_zero_q(self):
         with pytest.raises(ValueError):
             AlgebraCtx(3, 0.0)
-
-    def test_chi(self):
-        ctx = AlgebraCtx(3, 1.0)
-        assert [ctx.chi(k) for k in (-1, 0, 2, 3)] == [0, 1, 1, 0]

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgquant import AlgebraCtx, PGElement, WeightSeq, toeplitz
+from pgquant import verify as verify_mod
 from pgquant.cli import MAX_L, main, parse_complex, parse_weights, ConfigError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -151,6 +152,19 @@ class TestNonFiniteInput:
             parse_complex(text)
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--l", "2", "--grid", "default"),
+    ("matrix", "--l", "2", "--weights", "ones", "--which", "pk", "--tolerance", "1e-9"),
+    ("gram", "--l", "2", "--weights", "ones", "--tolerance", "1e-9"),
+    ("spectrum", "--l", "2", "--weights", "ones", "--tolerance", "1e-9"),
+])
+def test_removed_options_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestSignedValues:
     """A value that starts with '-' may follow its option as a separate token."""
 
@@ -208,7 +222,8 @@ class TestUsageErrorsInAFreshProcess:
         ("matrix", "--l", "6", "--q", "1e-30", "--weights", "ones",
          "--which", "mult-right", "--symbol", "thb*th"),
         ("gram", "--l", "2", "--q", "inf", "--weights", "1,1"),
-    ], ids=["deep-parentheses", "tiny-q", "infinite-q"])
+        ("gram", "--l", "12", "--q", "1", "--weights", "factorial"),
+    ], ids=["deep-parentheses", "tiny-q", "infinite-q", "gram-determinant-overflow"])
     def test_exit_2_with_one_error_line(self, argv):
         src = pathlib.Path(__file__).resolve().parent.parent / "src"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -269,6 +284,30 @@ class TestVerifyCommand:
                            "--weights", "1,0")
         assert code == 2
         assert "strictly positive" in err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tolerance):
+        # at q = i an infinite tolerance would turn the expected conjugation
+        # violation into a pass
+        code, out, err = run(capsys, "verify", "--l", "2", "--q", "0+1i",
+                             "--weights", "ones", "--tolerance", tolerance)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --tolerance") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,ls,qs,weights", [
+        (("--l", "3", "--q", "0.5", "--weights", "1,2,3"), (3,), (("0.5", 0.5),),
+         lambda l, q: [("custom", WeightSeq(3, (1.0, 2.0, 3.0)))]),
+        (("--q", "2", "--weights", "factorial"), verify_mod.GRID_LS, (("2", 2.0),),
+         lambda l, q: [("factorial", verify_mod.grid_weights("factorial", l))]),
+    ], ids=["custom-weights", "preset-at-every-grid-order"])
+    def test_records_equal_run_grid(self, capsys, argv, ls, qs, weights):
+        code, out, _ = run(capsys, "verify", *argv, "--seed", "4", "--format", "json")
+        want = verify_mod.run_grid(ls, qs, weights, seed=4)
+        assert json.loads(out)["records"] == [
+            {"check": r.check, "l": r.l, "q": r.q_id, "weights": r.w_id,
+             "max_residual": r.residual, "status": r.status, "note": r.note}
+            for r in want]
+        assert code == (1 if any(r.status == "fail" for r in want) else 0)
 
     def test_seed_determinism(self, capsys):
         argv = ("verify", "--l", "3", "--q", "0.5", "--weights", "rand1",
