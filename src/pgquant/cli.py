@@ -207,6 +207,8 @@ def cmd_verify(args) -> int:
         w_id = "custom" if "," in args.weights else args.weights
 
         def weights(l, q):
+            if w_id in verify_mod.GRID_WEIGHT_IDS:
+                return [(w_id, verify_mod.grid_weights(w_id, l))]
             return [(w_id, parse_weights(args.weights, l, q))]
     else:
         weights = verify_mod.grid_point_weights
@@ -231,8 +233,8 @@ def cmd_verify(args) -> int:
             statuses = {r.status for r in recs}
             if "fail" in statuses:
                 overall = "FAIL"
-            elif any(s.startswith("expected-fail") for s in statuses):
-                overall = "expected-fail (q not real)"
+            elif verify_mod.EXPECTED_FAIL in statuses:
+                overall = verify_mod.EXPECTED_FAIL
             else:
                 overall = "pass"
             lines.append(f"{name}: max residual {worst.residual:.3e} "
@@ -279,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the identity checks over a grid")
     p_verify.add_argument("--l", type=int, default=None)
     p_verify.add_argument("--q", default=None)
-    p_verify.add_argument("--weights", default=None)
+    p_verify.add_argument("--weights", default=None,
+                          help="comma list or preset: ones|factorial|qfactorial|rand1|rand2|rand3")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tolerance", type=float, default=verify_mod.DEFAULT_TOL,
                           help="pass a check whose residual is below this; finite and > 0")

@@ -218,20 +218,6 @@ def toeplitz_adjoint(A: OperatorBH, w: WeightSeq) -> OperatorBH:
 
 # --- coherent-state and flat quantizations ---------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _coherent_support(l: int):
-    """Closed-form coherent table at order l: every (i, j, a) with j+a < l and
-    j-i+a >= 0, in lexicographic order, as flat index arrays of the symbol
-    position i*l+j, the weight indices j+a, j-i+a and a, and the output
-    position (j-i+a)*l + a."""
-    i, j, a = np.ix_(*[np.arange(l)] * 3)
-    i, j, a = np.nonzero((j + a < l) & (j - i + a >= 0))
-    table = (i * l + j, j + a, j - i + a, a, (j - i + a) * l + a)
-    for arr in table:
-        arr.flags.writeable = False
-    return table
-
-
 def coherent_quantization(g: PGElement, w: WeightSeq, ctx: AlgebraCtx,
                           mode: str = "closed") -> np.ndarray:
     """Quantization through the resolution of identity, on the auxiliary
@@ -246,9 +232,11 @@ def coherent_quantization(g: PGElement, w: WeightSeq, ctx: AlgebraCtx,
         raise ValueError("order mismatch")
     l = ctx.l
     if mode == "closed":
-        symbol, num, den, a, cells = _coherent_support(l)
+        # the Toeplitz table of the transposed symbol: its (i, j, a) is this
+        # map's (j, i, a), and each cell still sums its terms in increasing i
+        symbol, num, den, cells = _toeplitz_support(l)
         ws = w.arr()
-        terms = (g.coeffs.ravel()[symbol] * ws[num]) / np.sqrt(ws[den] * ws[a])
+        terms = (g.coeffs.T.ravel()[symbol] * ws[num]) / np.sqrt(ws[den] * ws[cells % l])
         return scatter_sum(cells, terms, l * l).reshape(l, l)
     if mode == "berezin":
         A = np.zeros((l, l), dtype=complex)

@@ -1,12 +1,21 @@
 """Grid verification sweeps for every stated operator identity.
 
-Each check runs at one grid point (l, q, weight choice), consumes its own
-deterministically seeded generator, and reports a max residual plus a status.
-The star-structure check flips to an expected-violation mode for non-real q.
+A check is a plain function fn(ctx, w, rng, tol) run at one grid point (l, q,
+weight choice) with its own seeded generator.  It returns the list of residuals
+it measured, or raises CheckFailure with a note for a failure that is not a
+residual (a rank, a sign, a nilpotency); with expected=True the exception marks
+the conjugation violation that the star criterion witnesses at non-real q.
+
+run_point alone decides the record, with each check under
+np.errstate(all="ignore"): the residual is the largest measured (0 if none;
+inf if any is NaN or infinite) and passes below the tolerance.  A raised
+failure is a "fail" with residual 1.0 and its note, an expected one an
+EXPECTED_FAIL with residual 0.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +39,7 @@ GRID_WEIGHT_IDS = ("ones", "factorial", "rand1", "rand2", "rand3")
 _RAND_WEIGHT_SEEDS = {"rand1": 1731, "rand2": 2742, "rand3": 3753}
 
 DEFAULT_TOL = 1e-9
+EXPECTED_FAIL = "expected-fail (q not real)"
 
 
 def grid_weights(weight_id: str, l: int) -> WeightSeq:
@@ -69,6 +79,23 @@ def _vec_bh(x: np.ndarray, l: int) -> np.ndarray:
     return out
 
 
+class CheckFailure(Exception):
+    """A check's finding that is not a residual.  expected=True marks the
+    violation the check exists to witness."""
+
+    def __init__(self, note: str = "", expected: bool = False):
+        super().__init__(note)
+        self.note, self.expected = note, expected
+
+
+class Noted(list):
+    """Residuals that carry a note for their record."""
+
+    def __init__(self, residuals, note: str):
+        super().__init__(residuals)
+        self.note = note
+
+
 @dataclass(frozen=True)
 class CheckResult:
     check: str
@@ -76,7 +103,7 @@ class CheckResult:
     q_id: str
     w_id: str
     residual: float
-    status: str  # "pass" | "fail" | "expected-fail (q not real)"
+    status: str  # "pass" | "fail" | EXPECTED_FAIL
     note: str = ""
 
     @property
@@ -108,31 +135,26 @@ def _rewrite_words(word, ctx):
 
 
 def check_normal_order_oracle(ctx, w, rng, tol):
-    worst = 0.0
-    for length in range(7):
-        for word in itertools.product((alg.THETA, alg.THETA_BAR), repeat=length):
-            got = alg.normal_order(word, ctx)
-            want = _rewrite_words(word, ctx)
-            worst = max(worst, _max_abs(got.coeffs - want.coeffs))
-    return worst, None
+    return [_max_abs(alg.normal_order(word, ctx).coeffs - _rewrite_words(word, ctx).coeffs)
+            for length in range(7)
+            for word in itertools.product((alg.THETA, alg.THETA_BAR), repeat=length)]
 
 
 def check_associativity(ctx, w, rng, tol):
-    worst = 0.0
+    residuals = []
     for _ in range(10):
         f, g, h = (random_element(rng, ctx.l) for _ in range(3))
         lhs = alg.multiply(alg.multiply(f, g, ctx), h, ctx)
         rhs = alg.multiply(f, alg.multiply(g, h, ctx), ctx)
-        scale = max(1.0, _max_abs(rhs.coeffs))
-        worst = max(worst, _max_abs(lhs.coeffs - rhs.coeffs) / scale)
-    return worst, None
+        residuals.append(_max_abs(lhs.coeffs - rhs.coeffs) / max(1.0, _max_abs(rhs.coeffs)))
+    return residuals
 
 
 def check_defining_relation(ctx, w, rng, tol):
     th = PGElement.basis(ctx.l, 1, 0)
     thb = PGElement.basis(ctx.l, 0, 1)
     res = alg.multiply(th, thb, ctx) - ctx.q * alg.multiply(thb, th, ctx)
-    return _max_abs(res.coeffs), None
+    return [_max_abs(res.coeffs)]
 
 
 def check_star_criterion(ctx, w, rng, tol):
@@ -143,31 +165,30 @@ def check_star_criterion(ctx, w, rng, tol):
     witness = alg.conjugate(alg.multiply(thb, th, ctx)) - alg.multiply(
         alg.conjugate(th), alg.conjugate(thb), ctx)
     witness_res = _max_abs(witness.coeffs)
-    if ctx.q.imag == 0:
-        worst = witness_res
-        for _ in range(10):
-            f, g = random_element(rng, ctx.l), random_element(rng, ctx.l)
-            prod = alg.multiply(f, g, ctx)
-            res = alg.conjugate(prod) - alg.multiply(
-                alg.conjugate(g), alg.conjugate(f), ctx)
-            scale = max(1.0, _max_abs(prod.coeffs))
-            worst = max(worst, _max_abs(res.coeffs) / scale)
-        return worst, None
-    # complex q: the violation itself is the expected outcome
-    if witness_res > tol:
-        return 0.0, "expected-fail (q not real)"
-    return witness_res + 1.0, None  # violation missing: report as failure
+    if ctx.q.imag != 0:
+        # complex q: the violation itself is the expected outcome
+        if witness_res > tol:
+            raise CheckFailure(expected=True)
+        return [witness_res + 1.0]  # violation missing: report as failure
+    residuals = [witness_res]
+    for _ in range(10):
+        f, g = random_element(rng, ctx.l), random_element(rng, ctx.l)
+        prod = alg.multiply(f, g, ctx)
+        res = alg.conjugate(prod) - alg.multiply(
+            alg.conjugate(g), alg.conjugate(f), ctx)
+        residuals.append(_max_abs(res.coeffs) / max(1.0, _max_abs(prod.coeffs)))
+    return residuals
 
 
 def check_holomorphic_conjugation(ctx, w, rng, tol):
-    worst = 0.0
+    residuals = []
     for _ in range(10):
         f = random_element(rng, ctx.l, holomorphic=True)
         g = random_element(rng, ctx.l, holomorphic=True)
         res = alg.conjugate(alg.multiply(f, g, ctx)) - alg.multiply(
             alg.conjugate(f), alg.conjugate(g), ctx)
-        worst = max(worst, _max_abs(res.coeffs))
-    return worst, None
+        residuals.append(_max_abs(res.coeffs))
+    return residuals
 
 
 def _random_expr(rng, depth=0):
@@ -193,7 +214,7 @@ def _random_expr(rng, depth=0):
 
 
 def check_free_expr_linearity(ctx, w, rng, tol):
-    worst = 0.0
+    residuals = []
     for _ in range(10):
         e1, e2 = _random_expr(rng), _random_expr(rng)
         a = complex(rng.standard_normal(), rng.standard_normal())
@@ -201,53 +222,43 @@ def check_free_expr_linearity(ctx, w, rng, tol):
         combined = alg.Sum((alg.Prod((alg.Const(a), e1)), alg.Prod((alg.Const(b), e2))))
         lhs = alg.from_free_expr(combined, ctx)
         rhs = a * alg.from_free_expr(e1, ctx) + b * alg.from_free_expr(e2, ctx)
-        worst = max(worst, _max_abs(lhs.coeffs - rhs.coeffs))
-    return worst, None
+        residuals.append(_max_abs(lhs.coeffs - rhs.coeffs))
+    return residuals
 
 
 # --- forms -----------------------------------------------------------------
 
 def check_form_mode_agreement(ctx, w, rng, tol):
-    worst = 0.0
-    for _ in range(200):
-        f, g = random_element(rng, ctx.l), random_element(rng, ctx.l)
-        worst = max(worst, abs(form(f, g, w, "closed") - form(f, g, w, "definitional")))
-    return worst, None
+    pairs = ((random_element(rng, ctx.l), random_element(rng, ctx.l)) for _ in range(200))
+    return [abs(form(f, g, w, "closed") - form(f, g, w, "definitional")) for f, g in pairs]
 
 
 def check_gram_properties(ctx, w, rng, tol):
     G = gram_matrix(w)
-    asym = _max_abs(G - G.T)
-    full = matrix_rank(G) == w.l * w.l
     sub = np.array([[form(PGElement.basis(w.l, a, 0), PGElement.basis(w.l, c, 0), w)
                      for c in range(w.l)] for a in range(w.l)])
-    positive = np.all(np.linalg.eigvalsh(np.real(sub)) > 0)
-    if not (full and positive):
-        return 1.0, None
-    return asym, None
+    if matrix_rank(G) != w.l * w.l or not np.all(np.linalg.eigvalsh(np.real(sub)) > 0):
+        raise CheckFailure()
+    return [_max_abs(G - G.T)]
 
 
 def check_adjoint_wrt_form(ctx, w, rng, tol):
     l = ctx.l
-    worst = 0.0
     A = rng.standard_normal((l * l, l * l)) + 1j * rng.standard_normal((l * l, l * l))
     Astar = adjoint_wrt_form(A, w)
+    residuals = []
     for _ in range(100):
         f, g = random_element(rng, l), random_element(rng, l)
         lhs = form(PGElement.from_vector(l, A @ f.vector()), g, w)
         rhs = form(f, PGElement.from_vector(l, Astar @ g.vector()), w)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    worst = max(worst, _max_abs(adjoint_wrt_form(Astar, w) - A) / max(1.0, _max_abs(A)))
-    return worst, None
+        residuals.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
+    residuals.append(_max_abs(adjoint_wrt_form(Astar, w) - A) / max(1.0, _max_abs(A)))
+    return residuals
 
 
 def check_orthonormal_basis(ctx, w, rng, tol):
-    worst = 0.0
-    for j in range(w.l):
-        for k in range(w.l):
-            val = form(orthonormal_phi(j, w), orthonormal_phi(k, w), w)
-            worst = max(worst, abs(val - (1.0 if j == k else 0.0)))
-    return worst, None
+    return [abs(form(orthonormal_phi(j, w), orthonormal_phi(k, w), w) - (1.0 if j == k else 0.0))
+            for j in range(w.l) for k in range(w.l)]
 
 
 # --- quantization ----------------------------------------------------------
@@ -255,36 +266,31 @@ def check_orthonormal_basis(ctx, w, rng, tol):
 def check_pk_projection(ctx, w, rng, tol):
     l = ctx.l
     P = pk_operator(w)
-    worst = _max_abs(P @ P - P)
-    worst = max(worst, _max_abs(adjoint_wrt_form(P, w) - P))
+    residuals = [_max_abs(P @ P - P), _max_abs(adjoint_wrt_form(P, w) - P)]
     if matrix_rank(P) != l:
-        return 1.0, None
+        raise CheckFailure()
     # identity on the holomorphic subspace, and mode agreement on random input
     for _ in range(10):
         F = random_element(rng, l)
-        closed = project_pk(F, w, "closed")
-        kernel = project_pk(F, w, "kernel")
-        worst = max(worst, _max_abs(closed.coeffs - kernel.coeffs))
+        residuals.append(_max_abs(project_pk(F, w, "closed").coeffs
+                                  - project_pk(F, w, "kernel").coeffs))
         h = random_element(rng, l, holomorphic=True)
-        worst = max(worst, _max_abs(project_pk(h, w).coeffs - h.coeffs))
-    return worst, None
+        residuals.append(_max_abs(project_pk(h, w).coeffs - h.coeffs))
+    return residuals
 
 
 def check_toeplitz_dual_path(ctx, w, rng, tol):
     l = ctx.l
-    worst = 0.0
-    # every basis symbol, then 50 random ones drawn as the loop reaches them
+    # every basis symbol, then 50 random ones drawn as the list reaches them
     symbols = itertools.chain((PGElement.basis(l, i, j) for i in range(l) for j in range(l)),
                               (random_element(rng, l) for _ in range(50)))
-    for g in symbols:
-        worst = max(worst, _max_abs(toeplitz(g, w, ctx, "closed").matrix
-                                    - toeplitz(g, w, ctx, "projection").matrix))
-    return worst, None
+    return [_max_abs(toeplitz(g, w, ctx, "closed").matrix - toeplitz(g, w, ctx, "projection").matrix)
+            for g in symbols]
 
 
 def check_compression_identity(ctx, w, rng, tol):
     l = ctx.l
-    worst = 0.0
+    residuals = []
     for _ in range(20):
         g = random_element(rng, l)
         T = toeplitz(g, w, ctx).matrix
@@ -294,20 +300,21 @@ def check_compression_identity(ctx, w, rng, tol):
         e1 = PGElement.from_vector(l, _vec_bh(f1, l))
         lhs = form(e1, PGElement.from_vector(l, _vec_bh(T @ f2, l)), w)
         rhs = form(e1, PGElement.from_vector(l, Mg @ _vec_bh(f2, l)), w)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst, None
+        residuals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return residuals
 
 
 def check_toeplitz_iso_rank(ctx, w, rng, tol):
     l = ctx.l
-    ok = span_rank(toeplitz(PGElement.basis(l, i, j), w, ctx).matrix
-                   for i in range(l) for j in range(l)) == l * l
-    return (0.0 if ok else 1.0), None
+    if span_rank(toeplitz(PGElement.basis(l, i, j), w, ctx).matrix
+                 for i in range(l) for j in range(l)) != l * l:
+        raise CheckFailure()
+    return []
 
 
 def check_column_structure(ctx, w, rng, tol):
     l = ctx.l
-    worst = 0.0
+    residuals = []
     for i in range(l):
         for j in range(l):
             M = toeplitz(PGElement.basis(l, i, j), w, ctx).matrix
@@ -317,39 +324,38 @@ def check_column_structure(ctx, w, rng, tol):
                 ocol = Mon[:, a].copy()
                 if 0 <= i + a < l and 0 <= i + a - j < l:
                     expect = w.w[i + a] / w.w[i + a - j]
-                    worst = max(worst, abs(col[i + a - j] - expect))
+                    residuals.append(abs(col[i + a - j] - expect))
                     col[i + a - j] = 0
                     oexpect = w.w[a + i] / np.sqrt(w.w[a] * w.w[a + i - j])
-                    worst = max(worst, abs(ocol[i + a - j] - oexpect))
+                    residuals.append(abs(ocol[i + a - j] - oexpect))
                     ocol[i + a - j] = 0
-                worst = max(worst, _max_abs(col))
-                worst = max(worst, _max_abs(ocol))
-    return worst, None
+                residuals += [_max_abs(col), _max_abs(ocol)]
+    return residuals
 
 
 def check_adjoint_symbol_rule(ctx, w, rng, tol):
     l = ctx.l
-    worst = 0.0
+    residuals = []
     for _ in range(50):
         g = random_element(rng, l)
         lhs = toeplitz_adjoint(toeplitz(g, w, ctx), w).matrix
         rhs = toeplitz(alg.conjugate(g), w, ctx).matrix
-        worst = max(worst, _max_abs(lhs - rhs))
+        residuals.append(_max_abs(lhs - rhs))
     # corollary witnesses: a self-adjoint symbol gives a self-adjoint operator,
     # a non-self-adjoint symbol does not
     g_sa = PGElement.basis(l, 1, 0) + PGElement.basis(l, 0, 1) + PGElement.basis(l, 1, 1)
     T = toeplitz(g_sa, w, ctx)
-    worst = max(worst, _max_abs(toeplitz_adjoint(T, w).matrix - T.matrix))
+    residuals.append(_max_abs(toeplitz_adjoint(T, w).matrix - T.matrix))
     g_nsa = PGElement.basis(l, 1, 0)
     Tn = toeplitz(g_nsa, w, ctx)
     if np.allclose(toeplitz_adjoint(Tn, w).matrix, Tn.matrix, atol=tol):
-        return 1.0, None
-    return worst, None
+        raise CheckFailure()
+    return residuals
 
 
 def check_multiplicativity(ctx, w, rng, tol):
     l = ctx.l
-    worst = 0.0
+    residuals = []
     for _ in range(50):
         g1 = random_element(rng, l, holomorphic=True)
         g2 = random_element(rng, l, holomorphic=True)
@@ -359,49 +365,45 @@ def check_multiplicativity(ctx, w, rng, tol):
             Ta, Tb = toeplitz(a, w, ctx).matrix, toeplitz(b, w, ctx).matrix
             Tab = toeplitz(alg.multiply(a, b, ctx), w, ctx).matrix
             scale = max(1.0, _max_abs(Tab))
-            worst = max(worst, _max_abs(Ta @ Tb - Tab) / scale)
-            worst = max(worst, _max_abs(Tb @ Ta - Tab) / scale)
-    return worst, None
+            residuals += [_max_abs(Ta @ Tb - Tab) / scale, _max_abs(Tb @ Ta - Tab) / scale]
+    return residuals
 
 
 def check_anti_wick_factorization(ctx, w, rng, tol):
     l = ctx.l
     lad = ladder_set(w, ctx)
-    worst = 0.0
-    for i in range(l):
-        for j in range(l):
-            direct = toeplitz(PGElement.basis(l, i, j), w, ctx).matrix
-            factored = (np.linalg.matrix_power(lad.annihilation.matrix, j)
-                        @ np.linalg.matrix_power(lad.creation.matrix, i))
-            worst = max(worst, _max_abs(direct - factored))
-    return worst, None
+    return [_max_abs(toeplitz(PGElement.basis(l, i, j), w, ctx).matrix
+                     - np.linalg.matrix_power(lad.annihilation.matrix, j)
+                     @ np.linalg.matrix_power(lad.creation.matrix, i))
+            for i in range(l) for j in range(l)]
 
 
 def check_operator_basis_rank(ctx, w, rng, tol):
     l = ctx.l
     lad = ladder_set(w, ctx)
-    ok = span_rank(np.linalg.matrix_power(lad.annihilation.matrix, j)
-                   @ np.linalg.matrix_power(lad.creation.matrix, i)
-                   for i in range(l) for j in range(l)) == l * l
-    return (0.0 if ok else 1.0), None
+    if span_rank(np.linalg.matrix_power(lad.annihilation.matrix, j)
+                 @ np.linalg.matrix_power(lad.creation.matrix, i)
+                 for i in range(l) for j in range(l)) != l * l:
+        raise CheckFailure()
+    return []
 
 
 def check_quantization_equivalences(ctx, w, rng, tol):
     l = ctx.l
-    worst = 0.0
+    residuals = []
     for _ in range(50):
         g = random_element(rng, l)
         A = coherent_quantization(alg.z_map(g), w, ctx)
-        worst = max(worst, _max_abs(A - toeplitz_orthonormal(g, w, ctx).matrix))
-        worst = max(worst, _max_abs(toeplitz_flat(g, w, ctx) - coherent_quantization(g, w, ctx)))
+        residuals.append(_max_abs(A - toeplitz_orthonormal(g, w, ctx).matrix))
+        residuals.append(_max_abs(toeplitz_flat(g, w, ctx) - coherent_quantization(g, w, ctx)))
     for _ in range(10):
         g = random_element(rng, l)
-        worst = max(worst, _max_abs(coherent_quantization(g, w, ctx, "closed")
-                                    - coherent_quantization(g, w, ctx, "berezin")))
+        residuals.append(_max_abs(coherent_quantization(g, w, ctx, "closed")
+                                  - coherent_quantization(g, w, ctx, "berezin")))
     if span_rank(coherent_quantization(PGElement.basis(l, i, j), w, ctx)
                  for i in range(l) for j in range(l)) != l * l:
-        return 1.0, None
-    return worst, None
+        raise CheckFailure()
+    return residuals
 
 
 def check_mixed_products(ctx, w, rng, tol):
@@ -409,11 +411,10 @@ def check_mixed_products(ctx, w, rng, tol):
     T_eta = toeplitz(PGElement.basis(l, 1, 0), w, ctx).matrix
     T_etabar = toeplitz(PGElement.basis(l, 0, 1), w, ctx).matrix
     T_mixed = toeplitz(PGElement.basis(l, 1, 1), w, ctx).matrix
-    worst = _max_abs(T_mixed - T_etabar @ T_eta)
     # the reversed word normal-orders to q^{-1} th thb, so q * T of it matches
     reversed_symbol = alg.normal_order((alg.THETA_BAR, alg.THETA), ctx)
-    worst = max(worst, _max_abs(ctx.q * toeplitz(reversed_symbol, w, ctx).matrix - T_mixed))
-    return worst, None
+    return [_max_abs(T_mixed - T_etabar @ T_eta),
+            _max_abs(ctx.q * toeplitz(reversed_symbol, w, ctx).matrix - T_mixed)]
 
 
 def check_q_commute_compression(ctx, w, rng, tol):
@@ -422,66 +423,61 @@ def check_q_commute_compression(ctx, w, rng, tol):
     thb = PGElement.basis(l, 0, 1)
     M_th = mult_operator(th, "right", ctx)
     M_thb = mult_operator(thb, "right", ctx)
-    worst = _max_abs(M_thb @ M_th - ctx.q * M_th @ M_thb)
     P = pk_operator(w)
     # the holomorphic block: rows and columns a*l of th^a
     comp_thb = (P @ M_thb)[::l, ::l]
     comp_th = (P @ M_th)[::l, ::l]
-    worst = max(worst, _max_abs(comp_thb - toeplitz(thb, w, ctx).matrix))
-    worst = max(worst, _max_abs(comp_th - toeplitz(th, w, ctx).matrix))
-    return worst, None
+    return [_max_abs(M_thb @ M_th - ctx.q * M_th @ M_thb),
+            _max_abs(comp_thb - toeplitz(thb, w, ctx).matrix),
+            _max_abs(comp_th - toeplitz(th, w, ctx).matrix)]
 
 
 def check_number_operator(ctx, w, rng, tol):
     l = ctx.l
     lad = ladder_set(w, ctx)
     N = lad.number.matrix
-    off = N - np.diag(np.diag(N))
-    worst = _max_abs(off)
     diag = np.real(np.diag(N))
-    worst = max(worst, _max_abs(np.sort(diag) - np.sort(lad.deformed_ints)))
+    residuals = [_max_abs(N - np.diag(np.diag(N))),
+                 _max_abs(np.sort(diag) - np.sort(lad.deformed_ints))]
     if np.any(diag < -tol):
-        return 1.0, None
+        raise CheckFailure()
     D = w.arr()
     for _ in range(20):
         fvec = rng.standard_normal(l) + 1j * rng.standard_normal(l)
         lhs = np.conj(fvec) @ (D * (N @ fvec))
         af = lad.annihilation.matrix @ fvec
         rhs = np.conj(af) @ (D * af)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst, None
+        residuals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return residuals
 
 
 def check_diagonal_symbols(ctx, w, rng, tol):
     l = ctx.l
-    worst = 0.0
+    residuals = []
     for i in range(l):
         M = toeplitz(PGElement.basis(l, i, i), w, ctx).matrix
-        off = M - np.diag(np.diag(M))
-        worst = max(worst, _max_abs(off))
+        residuals.append(_max_abs(M - np.diag(np.diag(M))))
         diag = np.real(np.diag(M))
-        for a in range(l):
-            expect = w.w[i + a] / w.w[a] if i + a < l else 0.0
-            worst = max(worst, abs(diag[a] - expect))
+        residuals += [abs(diag[a] - (w.w[i + a] / w.w[a] if i + a < l else 0.0))
+                      for a in range(l)]
         if matrix_rank(M) != l - i:
-            return 1.0, None
-    return worst, None
+            raise CheckFailure()
+    return residuals
 
 
 def check_ladder_facts(ctx, w, rng, tol):
     l = ctx.l
     lad = ladder_set(w, ctx)
     for name, op in (("creation", lad.creation.matrix), ("annihilation", lad.annihilation.matrix)):
-        if _max_abs(np.linalg.matrix_power(op, l)) > tol:
-            return 1.0, f"{name} power l not zero"
-        if _max_abs(np.linalg.matrix_power(op, l - 1)) <= tol:
-            return 1.0, f"{name} power l-1 vanished"
+        if not _max_abs(np.linalg.matrix_power(op, l)) <= tol:
+            raise CheckFailure(f"{name} power l not zero")
+        if not _max_abs(np.linalg.matrix_power(op, l - 1)) > tol:
+            raise CheckFailure(f"{name} power l-1 vanished")
         if matrix_rank(op) != l - 1:
-            return 1.0, f"{name} kernel not one-dimensional"
-    worst = _max_abs(lad.creation.matrix[:, l - 1])  # ker T_eta = span th^{l-1}
-    worst = max(worst, _max_abs(lad.annihilation.matrix[:, 0]))  # ker = span 1
-    worst = max(worst, _max_abs(lad.number.matrix - lad.creation.matrix @ lad.annihilation.matrix))
-    return worst, None
+            raise CheckFailure(f"{name} kernel not one-dimensional")
+    return [_max_abs(lad.creation.matrix[:, l - 1]),  # ker T_eta = span th^{l-1}
+            _max_abs(lad.annihilation.matrix[:, 0]),  # ker = span 1
+            _max_abs(lad.number.matrix - lad.creation.matrix @ lad.annihilation.matrix)]
 
 
 def check_norm_bound(ctx, w, rng, tol):
@@ -489,10 +485,9 @@ def check_norm_bound(ctx, w, rng, tol):
     T_eta = toeplitz(PGElement.basis(l, 1, 0), w, ctx)
     norm2 = operator_norm_bh(T_eta, w) ** 2
     bound = max(w.w[a + 1] / w.w[a] for a in range(l - 1))
-    if norm2 < bound - tol * max(1.0, bound):
-        return bound - norm2, None
-    note = f"observed norm^2 - bound = {norm2 - bound:.3e}"
-    return 0.0, note
+    if not norm2 >= bound - tol * max(1.0, bound):
+        return [bound - norm2]
+    return Noted([0.0], f"observed norm^2 - bound = {norm2 - bound:.3e}")
 
 
 def check_reproducing_truncation(ctx, w, rng, tol):
@@ -505,8 +500,7 @@ def check_reproducing_truncation(ctx, w, rng, tol):
     truncated = PGElement.zero(l)
     for j in range(l):
         truncated = truncated + coeffs[j] * PGElement.basis(l, j, 0)
-    res = project_pk(image, w).coeffs - truncated.coeffs
-    return _max_abs(res), None
+    return [_max_abs(project_pk(image, w).coeffs - truncated.coeffs)]
 
 
 CHECKS = (
@@ -545,22 +539,32 @@ CHECK_NAMES = tuple(name for name, _ in CHECKS)
 def run_point(l: int, q_id: str, q: complex, w_id: str, w: WeightSeq,
               seed: int = 0, tol: float = DEFAULT_TOL,
               checks=None) -> list[CheckResult]:
+    """One record per selected check at one grid point, in CHECKS order."""
+    selected = CHECK_NAMES if checks is None else tuple(checks)
+    if isinstance(checks, str) or not set(selected) <= set(CHECK_NAMES):
+        raise ValueError(f"checks must be a collection of names from CHECK_NAMES, "
+                         f"got {checks!r}")
     ctx = AlgebraCtx(l, q)
     results = []
-    selected = checks if checks is not None else CHECK_NAMES
     w_key = GRID_WEIGHT_IDS.index(w_id) if w_id in GRID_WEIGHT_IDS else 99
     q_key = sum(ord(c) for c in q_id)  # stable across processes
     for idx, (name, fn) in enumerate(CHECKS):
         if name not in selected:
             continue
         rng = np.random.default_rng([seed, idx, l, w_key, q_key])
-        residual, note = fn(ctx, w, rng, tol)
-        if note == "expected-fail (q not real)":
-            status = note
-            note = ""
+        try:
+            with np.errstate(all="ignore"):
+                measured = fn(ctx, w, rng, tol)
+        except CheckFailure as found:
+            residual, note = (0.0, "") if found.expected else (1.0, found.note)
+            status = EXPECTED_FAIL if found.expected else "fail"
         else:
+            residuals = np.asarray(measured, dtype=float)
+            residual = (float(residuals.max(initial=0.0)) if np.isfinite(residuals).all()
+                        else math.inf)
             status = "pass" if residual < tol else "fail"
-        results.append(CheckResult(name, l, q_id, w_id, float(residual), status, note or ""))
+            note = getattr(measured, "note", "")
+        results.append(CheckResult(name, l, q_id, w_id, residual, status, note))
     return results
 
 

@@ -24,6 +24,23 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def json_records(results):
+    """CheckResults as `pgquant verify --format json` lists its records."""
+    return [{"check": r.check, "l": r.l, "q": r.q_id, "weights": r.w_id,
+             "max_residual": r.residual, "status": r.status, "note": r.note}
+            for r in results]
+
+
+def run_fresh(*argv, **env):
+    """`python -m pgquant argv` in a new interpreter, with env added to the
+    environment."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "pgquant", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 class TestParseHelpers:
     def test_complex_forms(self):
         assert parse_complex("1") == 1
@@ -223,13 +240,12 @@ class TestUsageErrorsInAFreshProcess:
          "--which", "mult-right", "--symbol", "thb*th"),
         ("gram", "--l", "2", "--q", "inf", "--weights", "1,1"),
         ("gram", "--l", "12", "--q", "1", "--weights", "factorial"),
-    ], ids=["deep-parentheses", "tiny-q", "infinite-q", "gram-determinant-overflow"])
+        ("verify", "--l", "2", "--q", "1", "--weights", "1,1e308"),
+        ("verify", "--l", "2", "--q", "1", "--weights", "1e-308,1"),
+    ], ids=["deep-parentheses", "tiny-q", "infinite-q", "gram-determinant-overflow",
+            "verify-huge-weight", "verify-tiny-weight"])
     def test_exit_2_with_one_error_line(self, argv):
-        src = pathlib.Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        proc = subprocess.run([sys.executable, "-m", "pgquant", *argv],
-                              capture_output=True, text=True, env=env)
+        proc = run_fresh(*argv)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
@@ -303,18 +319,26 @@ class TestVerifyCommand:
     def test_records_equal_run_grid(self, capsys, argv, ls, qs, weights):
         code, out, _ = run(capsys, "verify", *argv, "--seed", "4", "--format", "json")
         want = verify_mod.run_grid(ls, qs, weights, seed=4)
-        assert json.loads(out)["records"] == [
-            {"check": r.check, "l": r.l, "q": r.q_id, "weights": r.w_id,
-             "max_residual": r.residual, "status": r.status, "note": r.note}
-            for r in want]
+        assert json.loads(out)["records"] == json_records(want)
         assert code == (1 if any(r.status == "fail" for r in want) else 0)
 
-    def test_seed_determinism(self, capsys):
+    def test_seed_determinism(self):
+        # two interpreters that hash strings differently print the same bytes
         argv = ("verify", "--l", "3", "--q", "0.5", "--weights", "rand1",
                 "--format", "json", "--seed", "7")
-        _, out1, _ = run(capsys, *argv)
-        _, out2, _ = run(capsys, *argv)
-        assert out1 == out2
+        procs = [run_fresh(*argv, PYTHONHASHSEED=seed) for seed in ("1", "2")]
+        assert [p.returncode for p in procs] == [0, 0]
+        assert len(json.loads(procs[0].stdout)["records"]) == len(verify_mod.CHECKS)
+        assert procs[0].stdout == procs[1].stdout
+
+    @pytest.mark.parametrize("l,q_id,q", [(3, "0.5", 0.5), (5, "-1", -1.0)])
+    def test_single_point_records_equal_grid_records(self, capsys, l, q_id, q):
+        grid = verify_mod.run_grid((l,), ((q_id, q),), seed=3)
+        for w_id in verify_mod.GRID_WEIGHT_IDS:
+            code, out, _ = run(capsys, "verify", "--l", str(l), "--q", q_id,
+                               "--weights", w_id, "--seed", "3", "--format", "json")
+            assert code == 0
+            assert json.loads(out)["records"] == json_records(r for r in grid if r.w_id == w_id)
 
     def test_env_seed_override(self, capsys, monkeypatch):
         argv = ("verify", "--l", "2", "--q", "1", "--weights", "ones",
