@@ -3,6 +3,10 @@
 Elements are stored densely as an l x l table of complex coefficients over the
 normally-ordered monomial basis th^i * thb^j.  All operations are pure; tables
 are frozen after construction and safe to share.
+
+The kernels work on stacks: an (n, l, l) array of coefficient tables, of which
+a PGElement's table is the n = 1 case.  A function named name_stack is the
+stacked kernel of name, and name calls it with n = 1.
 """
 from __future__ import annotations
 
@@ -137,12 +141,36 @@ def product_support(l: int):
     return table
 
 
+def gather(T: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The entries at the flat positions index of each table of an (n, ...)
+    stack, as an (n, len(index)) array.
+
+    One fancy index into the flattened stack, which numpy runs faster than a
+    take along axis 1.  A per-term factor multiplied in should have shape
+    (1, len(index)): numpy reuses a temporary operand's buffer for the result
+    only when both operands have the same number of dimensions, and at large
+    l a fresh buffer costs more than the product.
+    """
+    n = len(T)
+    flat = index[None] if n == 1 else index + T[0].size * np.arange(n)[:, None]
+    return T.reshape(-1)[flat]
+
+
 def scatter_sum(cells: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
-    """Complex length-size vector whose entry k sums terms[cells == k] in order."""
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(cells, terms.real, size)
-    out.imag = np.bincount(cells, terms.imag, size)
-    return out
+    """Complex (n, size) array whose entry [k, c] sums terms[k][cells == c] in
+    order, for terms of shape (n, len(cells)).
+
+    Row k scatters to cells + k*size of one flat vector, so each cell sums
+    exactly the terms, in exactly the order, that a call on row k alone would.
+    """
+    n = len(terms)
+    if n > 1:
+        cells = (cells + size * np.arange(n)[:, None]).ravel()
+    terms = terms.reshape(-1)
+    out = np.empty(n * size, dtype=complex)
+    out.real = np.bincount(cells, terms.real, n * size)
+    out.imag = np.bincount(cells, terms.imag, n * size)
+    return out.reshape(n, size)
 
 
 def normal_order(word, ctx: AlgebraCtx) -> PGElement:
@@ -166,15 +194,40 @@ def normal_order(word, ctx: AlgebraCtx) -> PGElement:
     return PGElement.basis(ctx.l, a, b, ctx.q ** (-inversions))
 
 
+# multiply_stack and form_stack evaluate a stack in blocks of at most this many
+# terms, so that each temporary array stays near 128 KB whatever the stack's size
+BLOCK_TERMS = 1 << 13
+
+
+def blocks(n: int, terms_per_table: int) -> list:
+    """Slices that cut a stack of n tables into blocks of at most BLOCK_TERMS
+    terms, or of one table where a single table has more."""
+    step = max(1, BLOCK_TERMS // terms_per_table)
+    return [slice(k, k + step) for k in range(0, n, step)]
+
+
+def multiply_stack(F: np.ndarray, G: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
+    """The products F[k] * G[k] of two (n, l, l) stacks; a stack of one table
+    pairs with every table of the other."""
+    l = ctx.l
+    left, right, bc, cells = product_support(l)
+    phases = ctx.qinv_powers[bc][None]
+    n = max(len(F), len(G))
+    out = np.empty((n, l * l), dtype=complex)
+    for rows in blocks(n, len(cells)):
+        f = F if len(F) == 1 else F[rows]
+        g = G if len(G) == 1 else G[rows]
+        out[rows] = scatter_sum(cells, gather(f, left) * phases * gather(g, right), l * l)
+    return out.reshape(n, l, l)
+
+
 def multiply(f: PGElement, g: PGElement, ctx: AlgebraCtx) -> PGElement:
     """Algebra product: (th^a thb^b)(th^c thb^d) = q^{-bc} th^{a+c} thb^{b+d}."""
     _check_same_order(f, g)
     l = f.l
     if ctx.l != l:
         raise ValueError(f"order mismatch: elements {l} vs context {ctx.l}")
-    left, right, bc, cells = product_support(l)
-    terms = f.coeffs.ravel()[left] * ctx.qinv_powers[bc] * g.coeffs.ravel()[right]
-    return PGElement(l, scatter_sum(cells, terms, l * l).reshape(l, l))
+    return PGElement(l, multiply_stack(f.coeffs[None], g.coeffs[None], ctx)[0])
 
 
 def anti_wick_product(f: PGElement, g: PGElement) -> PGElement:
@@ -183,12 +236,17 @@ def anti_wick_product(f: PGElement, g: PGElement) -> PGElement:
     l = f.l
     left, right, _, cells = product_support(l)
     terms = f.coeffs.ravel()[left] * g.coeffs.ravel()[right]
-    return PGElement(l, scatter_sum(cells, terms, l * l).reshape(l, l))
+    return PGElement(l, scatter_sum(cells, terms[None], l * l).reshape(l, l))
+
+
+def conjugate_stack(F: np.ndarray) -> np.ndarray:
+    """The conjugates of an (n, l, l) stack: each table's conjugate transpose."""
+    return np.conj(np.swapaxes(F, 1, 2))
 
 
 def conjugate(f: PGElement) -> PGElement:
     """Anti-linear involution swapping th^i thb^j with th^j thb^i."""
-    return PGElement(f.l, np.conj(f.coeffs).T)
+    return PGElement(f.l, conjugate_stack(f.coeffs[None])[0])
 
 
 def z_map(f: PGElement) -> PGElement:

@@ -1,7 +1,10 @@
 """Command-line front end: operator matrices, verification sweeps, spectra.
 
 Exit status: 0 success, 1 verification failure, 2 usage or configuration
-error.  Complex numbers serialize as [re, im] pairs in JSON.
+error.  Complex numbers serialize as [re, im] pairs in JSON.  Every command
+computes under np.errstate(all="ignore") and prints only finite numbers: a
+quantity that overflows to inf or NaN ends the command with exit 2 and one
+error line that names it.
 """
 from __future__ import annotations
 
@@ -74,6 +77,14 @@ def parse_weights(text: str, l: int, q: complex) -> WeightSeq:
     return WeightSeq(l, values)
 
 
+def _finite(name: str, value):
+    """value, if every number in it is finite; otherwise a ConfigError that
+    names the quantity."""
+    if not np.all(np.isfinite(value)):
+        raise ConfigError(f"{name} overflowed to inf or NaN for these inputs")
+    return value
+
+
 def _complex_pair(z: complex):
     return [float(np.real(z)), float(np.imag(z))]
 
@@ -118,6 +129,7 @@ def cmd_matrix(args) -> int:
         except ParseError as exc:
             raise ConfigError(str(exc))
         g = from_free_expr(expr, ctx)
+        _finite("the symbol", g.coeffs)
         if which == "toeplitz":
             M, basis = toeplitz(g, w, ctx).matrix, "monomial"
         elif which == "toeplitz-on":
@@ -132,6 +144,7 @@ def cmd_matrix(args) -> int:
             M, basis = mult_operator(g, "right", ctx), "aw"
         else:
             raise ConfigError(f"unknown matrix kind {which!r}")
+    _finite(f"the {which} matrix", M)
     if args.format == "json":
         payload = {"l": l, "q": _complex_pair(q), "weights": list(w.w),
                    "basis": basis, "rows": _matrix_rows(M)}
@@ -146,11 +159,7 @@ def cmd_gram(args) -> int:
     q = parse_complex(args.q)
     w = parse_weights(args.weights, l, q)
     G = gram_matrix(w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = float(np.linalg.det(G))
-    if not math.isfinite(det):
-        raise ConfigError(f"the Gram determinant is not a finite float at l = {l} "
-                          f"for these weights (it is {det!r})")
+    det = _finite("the Gram determinant", float(np.linalg.det(G)))
     if args.format == "json":
         payload = {"l": l, "q": _complex_pair(q), "weights": list(w.w),
                    "basis": "aw", "determinant": det, "rows": _matrix_rows(G)}
@@ -166,18 +175,29 @@ def cmd_spectrum(args) -> int:
     ctx = AlgebraCtx(l, q)
     w = parse_weights(args.weights, l, q)
     lad = ladder_set(w, ctx)
-    eigenvalues = sorted(float(np.real(x)) for x in np.diag(lad.number.matrix))
-    norm = operator_norm_bh(lad.creation, w)
+    # the ladder matrices hold the deformed integers, so once those are finite
+    # the norm's SVD sees a finite matrix
+    ints = _finite("the deformed integers", lad.deformed_ints)
+    facts = _finite("the deformed factorials", lad.deformed_factorials)
+    eigenvalues = _finite("the number operator eigenvalues",
+                          sorted(float(np.real(x)) for x in np.diag(lad.number.matrix)))
+    norm = _finite("the creation operator norm", operator_norm_bh(lad.creation, w))
+    try:
+        rank = wick_rank_probe(w, ctx)
+    except np.linalg.LinAlgError:
+        # the rank's SVD fails to converge on products of ladder powers that
+        # overflowed
+        raise ConfigError("the ladder operator products of the wick order rank probe "
+                          "are not finite for these inputs")
     payload = {
         "l": l,
         "q": _complex_pair(q),
         "weights": list(w.w),
-        "deformed_integers": list(lad.deformed_ints),
-        "deformed_factorials": list(lad.deformed_factorials),
+        "deformed_integers": list(ints),
+        "deformed_factorials": list(facts),
         "number_operator_eigenvalues": eigenvalues,
         "creation_operator_norm": norm,
-        "wick_order_rank_probe": {"rank": wick_rank_probe(w, ctx),
-                                  "label": "informational"},
+        "wick_order_rank_probe": {"rank": rank, "label": "informational"},
     }
     if args.format == "json":
         _emit(json.dumps(payload), args.output)
@@ -213,6 +233,8 @@ def cmd_verify(args) -> int:
     else:
         weights = verify_mod.grid_point_weights
     results = verify_mod.run_grid(ls, qs, weights, seed=seed, tol=args.tolerance)
+    for r in results:
+        _finite(f"the residual of {r.check} at l={r.l} q={r.q_id} w={r.w_id}", r.residual)
 
     failures = [r for r in results if r.status == "fail"]
     if args.format == "json":
@@ -320,7 +342,8 @@ def main(argv=None) -> int:
     try:
         if args.l is not None and not 2 <= args.l <= MAX_L:
             raise ConfigError(f"--l must be between 2 and {MAX_L}, got {args.l}")
-        return args.fn(args)
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

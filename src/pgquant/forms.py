@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PGElement, aw_index
+from .algebra import PGElement, aw_index, blocks, gather
 
 WEIGHT_PRESETS = ("ones", "factorial", "qfactorial")
 
@@ -175,6 +175,71 @@ def _berezin_support(l: int):
     return table
 
 
+def _fsum_rows(x: np.ndarray) -> list:
+    """The exactly rounded sum of each row of x.  A row whose sum leaves the
+    float range, or that holds both infinities, sums as float addition would,
+    to inf or NaN."""
+    sums = []
+    for row in x:
+        row = row.tolist()
+        try:
+            sums.append(math.fsum(row))
+        except (OverflowError, ValueError):
+            sums.append(sum(row))
+    return sums
+
+
+def _closed_terms(F: np.ndarray, G: np.ndarray, w: WeightSeq):
+    """Real and imaginary parts of the terms conj(F)[a, b] w_{a+d} G[c, d] of
+    each row pair, one term per nonzero Gram entry."""
+    rows, cols, k = _gram_support(w.l)
+    # flat, so that the products below run as one-dimensional loops
+    fw = (gather(np.conj(F), rows) * w.arr()[k][None]).ravel()
+    gc = gather(G, cols).ravel()
+    # the complex products are spelled out in real arithmetic so that each
+    # partial product is rounded on its own, whether or not numpy's complex
+    # loops fuse multiply-adds on the CPU at hand; exactly rounded
+    # accumulation then keeps the two modes within product rounding of each
+    # other even when weights span orders of magnitude
+    re = fw.real * gc.real - fw.imag * gc.imag
+    im = fw.real * gc.imag + fw.imag * gc.real
+    return re.reshape(len(F), -1), im.reshape(len(F), -1)
+
+
+def _definitional_terms(F: np.ndarray, G: np.ndarray, w: WeightSeq):
+    """Real and imaginary parts of the terms of the weighted Berezin sum of
+    each row pair, in the order of _berezin_support."""
+    fpos, gpos, k = _berezin_support(w.l)
+    # f* conjugates f's coefficients and swaps its two exponents
+    f_at = gather(F, fpos).ravel()
+    fr, fi = f_at.real, -f_at.imag
+    g_at = gather(G, gpos).ravel()
+    gr, gi = g_at.real, g_at.imag
+    wt = w.arr()[k]
+    # each term is w_k * (f*[a, b] * g[k-a, k-b]), spelled out in real
+    # arithmetic as in the closed route
+    return (wt * (fr * gr - fi * gi).reshape(len(F), -1),
+            wt * (fr * gi + fi * gr).reshape(len(F), -1))
+
+
+def form_stack(F: np.ndarray, G: np.ndarray, w: WeightSeq, mode: str = "closed") -> np.ndarray:
+    """<F[k], G[k]>_w for two (n, l, l) stacks, as a complex length-n array."""
+    if mode == "closed":
+        terms, support = _closed_terms, _gram_support(w.l)
+    elif mode == "definitional":
+        terms, support = _definitional_terms, _berezin_support(w.l)
+    else:
+        raise ValueError(f"unknown form mode {mode!r}")
+    re_sums, im_sums = [], []
+    for rows in blocks(len(F), len(support[0])):
+        re, im = terms(F[rows], G[rows], w)
+        re_sums += _fsum_rows(re)
+        im_sums += _fsum_rows(im)
+    out = np.empty(len(F), dtype=complex)
+    out.real, out.imag = re_sums, im_sums
+    return out
+
+
 def form(f: PGElement, g: PGElement, w: WeightSeq, mode: str = "closed") -> complex:
     """Evaluate <f, g>_w; anti-linear in f, linear in g.
 
@@ -184,32 +249,7 @@ def form(f: PGElement, g: PGElement, w: WeightSeq, mode: str = "closed") -> comp
     """
     if f.l != w.l or g.l != w.l:
         raise ValueError("order mismatch between elements and weights")
-    if mode == "closed":
-        rows, cols, k = _gram_support(w.l)
-        fw = np.conj(f.coeffs).ravel()[rows] * w.arr()[k]
-        gc = g.coeffs.ravel()[cols]
-        # the complex products are spelled out in real arithmetic so that each
-        # partial product is rounded on its own, whether or not numpy's
-        # complex loops fuse multiply-adds on the CPU at hand; exactly rounded
-        # accumulation then keeps the two modes within product rounding of
-        # each other even when weights span orders of magnitude
-        re = fw.real * gc.real - fw.imag * gc.imag
-        im = fw.real * gc.imag + fw.imag * gc.real
-        return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
-    if mode == "definitional":
-        fpos, gpos, k = _berezin_support(w.l)
-        # f* conjugates f's coefficients and swaps its two exponents
-        f_at = f.coeffs.ravel()[fpos]
-        fr, fi = f_at.real, -f_at.imag
-        g_at = g.coeffs.ravel()[gpos]
-        gr, gi = g_at.real, g_at.imag
-        wt = w.arr()[k]
-        # each term is w_k * (f*[a, b] * g[k-a, k-b]), spelled out in real
-        # arithmetic as in the closed route
-        re = wt * (fr * gr - fi * gi)
-        im = wt * (fr * gi + fi * gr)
-        return complex(math.fsum(re.tolist()), math.fsum(im.tolist()))
-    raise ValueError(f"unknown form mode {mode!r}")
+    return complex(form_stack(f.coeffs[None], g.coeffs[None], w, mode)[0])
 
 
 def adjoint_wrt_form(A: np.ndarray, w: WeightSeq) -> np.ndarray:

@@ -3,6 +3,9 @@
 Operators on the holomorphic subspace are l x l matrices tagged with their
 basis (monomial th^a or orthonormal phi_a); operators on the full algebra are
 l^2 x l^2 matrices over the global row-major monomial ordering.
+
+As in the algebra module, a function named name_stack maps an (n, l, l) stack
+of coefficient tables to a stack of results, and name is its n = 1 case.
 """
 from __future__ import annotations
 
@@ -11,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraCtx, PGElement, multiply, product_support, scatter_sum
-from .forms import WeightSeq, form
+from .algebra import AlgebraCtx, PGElement, gather, multiply_stack, product_support, scatter_sum
+from .forms import WeightSeq, form_stack
 
 MONOMIAL = "monomial"
 ORTHONORMAL = "orthonormal"
@@ -48,14 +51,17 @@ def convert_basis(A: OperatorBH, w: WeightSeq, target: str) -> OperatorBH:
         raise ValueError("order mismatch")
     if target == A.basis:
         return A
+    if target not in (MONOMIAL, ORTHONORMAL):
+        raise ValueError(f"unknown basis tag {target!r}")
+    return OperatorBH(A.l, convert_basis_stack(A.matrix[None], w, target)[0], target)
+
+
+def convert_basis_stack(M: np.ndarray, w: WeightSeq, target: str) -> np.ndarray:
+    """A stack of matrices rescaled into the target basis from the other one."""
     s = np.sqrt(w.arr())
     if target == ORTHONORMAL:
-        mat = (s[:, None] * A.matrix) / s[None, :]
-    elif target == MONOMIAL:
-        mat = (A.matrix / s[:, None]) * s[None, :]
-    else:
-        raise ValueError(f"unknown basis tag {target!r}")
-    return OperatorBH(A.l, mat, target)
+        return (s[:, None] * M) / s[None, :]
+    return (M / s[:, None]) * s[None, :]
 
 
 # --- kernel projections ----------------------------------------------------
@@ -72,12 +78,34 @@ def _projection_support(l: int):
     return table
 
 
-def _project_column(coeffs: np.ndarray, w: WeightSeq) -> np.ndarray:
-    """Length-l vector: entry k sums coeffs[a, a-k] * (w_a / w_k) over a."""
+def _project_column(C: np.ndarray, w: WeightSeq) -> np.ndarray:
+    """(n, l) array: entry [m, k] sums C[m, a, a-k] * (w_a / w_k) over a."""
     l = w.l
     pos, num, den = _projection_support(l)
     ws = w.arr()
-    return scatter_sum(den, coeffs.ravel()[pos] * (ws[num] / ws[den]), l)
+    return scatter_sum(den, gather(C, pos) * (ws[num] / ws[den])[None], l)
+
+
+def project_pk_stack(F: np.ndarray, w: WeightSeq, mode: str = "closed") -> np.ndarray:
+    """project_pk of each table of an (n, l, l) stack."""
+    l = w.l
+    out = np.zeros((len(F), l, l), dtype=complex)
+    if mode == "closed":
+        out[:, :, 0] = _project_column(F, w)
+    elif mode == "kernel":
+        # <th^k, F[m]>_w for every (m, k), taken row by row
+        basis = np.zeros((l, l, l), dtype=complex)
+        basis[np.arange(l), np.arange(l), 0] = 1.0
+        pairs = form_stack(np.tile(basis, (len(F), 1, 1)), np.repeat(F, l, axis=0), w)
+        ws = w.arr()
+        # real and imaginary parts divided apart, which gives the quotient
+        # Python's complex division by w_k gives; numpy's complex division
+        # can differ from it in the last bit
+        out[:, :, 0].real = pairs.real.reshape(-1, l) / ws
+        out[:, :, 0].imag = pairs.imag.reshape(-1, l) / ws
+    else:
+        raise ValueError(f"unknown projection mode {mode!r}")
+    return out
 
 
 def project_pk(F: PGElement, w: WeightSeq, mode: str = "closed") -> PGElement:
@@ -89,16 +117,16 @@ def project_pk(F: PGElement, w: WeightSeq, mode: str = "closed") -> PGElement:
     """
     if F.l != w.l:
         raise ValueError("order mismatch")
+    return PGElement(w.l, project_pk_stack(F.coeffs[None], w, mode)[0])
+
+
+def project_pk_bar_stack(F: np.ndarray, w: WeightSeq) -> np.ndarray:
+    """project_pk_bar of each table of an (n, l, l) stack."""
     l = w.l
-    out = np.zeros((l, l), dtype=complex)
-    if mode == "closed":
-        out[:, 0] = _project_column(F.coeffs, w)
-    elif mode == "kernel":
-        for k in range(l):
-            out[k, 0] = form(PGElement.basis(l, k, 0), F, w) / w.w[k]
-    else:
-        raise ValueError(f"unknown projection mode {mode!r}")
-    return PGElement(l, out)
+    out = np.zeros((len(F), l, l), dtype=complex)
+    # the mirror image of project_pk: transposing F swaps the roles of a and b
+    out[:, 0, :] = _project_column(np.swapaxes(F, 1, 2), w)
+    return out
 
 
 def project_pk_bar(F: PGElement, w: WeightSeq) -> PGElement:
@@ -106,11 +134,7 @@ def project_pk_bar(F: PGElement, w: WeightSeq) -> PGElement:
     (w_b / w_{b-a}) thb^{b-a} under the matching range guard."""
     if F.l != w.l:
         raise ValueError("order mismatch")
-    l = w.l
-    out = np.zeros((l, l), dtype=complex)
-    # the mirror image of project_pk: transposing F swaps the roles of a and b
-    out[0, :] = _project_column(F.coeffs.T, w)
-    return PGElement(l, out)
+    return PGElement(w.l, project_pk_bar_stack(F.coeffs[None], w)[0])
 
 
 @functools.lru_cache(maxsize=None)
@@ -175,6 +199,26 @@ def _holomorphic_right_support(l: int):
     return table
 
 
+def toeplitz_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx,
+                   mode: str = "closed") -> np.ndarray:
+    """The monomial-basis Toeplitz matrices of an (n, l, l) stack of symbols."""
+    l = ctx.l
+    n = len(G)
+    if mode == "closed":
+        symbol, num, den, cells = _toeplitz_support(l)
+        ws = w.arr()
+        terms = gather(G, symbol) * (ws[num] / ws[den])[None]
+        return scatter_sum(cells, terms, l * l).reshape(n, l, l)
+    if mode == "projection":
+        # only the holomorphic rows of P and columns of M reach the block kept
+        g_at, places = _holomorphic_right_support(l)
+        M = np.zeros((n, l ** 3), dtype=complex)
+        M[:, places] = gather(G, g_at)
+        # one l x l^2 by l^2 x l product per symbol, as for a single symbol
+        return pk_operator(w)[np.arange(l) * l, :] @ M.reshape(n, l * l, l)
+    raise ValueError(f"unknown toeplitz mode {mode!r}")
+
+
 def toeplitz(g: PGElement, w: WeightSeq, ctx: AlgebraCtx, mode: str = "closed") -> OperatorBH:
     """Toeplitz operator of the symbol g on the holomorphic subspace.
 
@@ -185,24 +229,17 @@ def toeplitz(g: PGElement, w: WeightSeq, ctx: AlgebraCtx, mode: str = "closed") 
     """
     if not (g.l == w.l == ctx.l):
         raise ValueError("order mismatch")
-    l = ctx.l
-    if mode == "closed":
-        symbol, num, den, cells = _toeplitz_support(l)
-        ws = w.arr()
-        terms = g.coeffs.ravel()[symbol] * (ws[num] / ws[den])
-        return OperatorBH(l, scatter_sum(cells, terms, l * l).reshape(l, l), MONOMIAL)
-    if mode == "projection":
-        # only the holomorphic rows of P and columns of M reach the block kept
-        g_at, places = _holomorphic_right_support(l)
-        M = np.zeros(l ** 3, dtype=complex)
-        M[places] = g.coeffs.ravel()[g_at]
-        comp = pk_operator(w)[np.arange(l) * l, :] @ M.reshape(l * l, l)
-        return OperatorBH(l, comp, MONOMIAL)
-    raise ValueError(f"unknown toeplitz mode {mode!r}")
+    return OperatorBH(ctx.l, toeplitz_stack(g.coeffs[None], w, ctx, mode)[0], MONOMIAL)
 
 
 def toeplitz_orthonormal(g: PGElement, w: WeightSeq, ctx: AlgebraCtx) -> OperatorBH:
     return convert_basis(toeplitz(g, w, ctx), w, ORTHONORMAL)
+
+
+def toeplitz_adjoint_stack(M: np.ndarray, w: WeightSeq) -> np.ndarray:
+    """toeplitz_adjoint of each matrix of an (n, l, l) monomial-basis stack."""
+    d = w.arr()
+    return (np.conj(np.swapaxes(M, 1, 2)) * d[None, :]) / d[:, None]
 
 
 def toeplitz_adjoint(A: OperatorBH, w: WeightSeq) -> OperatorBH:
@@ -211,12 +248,41 @@ def toeplitz_adjoint(A: OperatorBH, w: WeightSeq) -> OperatorBH:
         raise ValueError("order mismatch")
     if A.basis != MONOMIAL:
         raise ValueError("adjoint expects a monomial-basis operator")
-    d = w.arr()
-    mat = (np.conj(A.matrix.T) * d[None, :]) / d[:, None]
-    return OperatorBH(A.l, mat, MONOMIAL)
+    return OperatorBH(A.l, toeplitz_adjoint_stack(A.matrix[None], w)[0], MONOMIAL)
 
 
 # --- coherent-state and flat quantizations ---------------------------------
+
+def coherent_quantization_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx,
+                                mode: str = "closed") -> np.ndarray:
+    """coherent_quantization of each symbol of an (n, l, l) stack."""
+    l = ctx.l
+    n = len(G)
+    if mode == "closed":
+        # the Toeplitz table of the transposed symbol: its (i, j, a) is this
+        # map's (j, i, a), and each cell still sums its terms in increasing i
+        symbol, num, den, cells = _toeplitz_support(l)
+        ws = w.arr()
+        terms = (gather(np.swapaxes(G, 1, 2), symbol) * ws[num][None]) / np.sqrt(
+            ws[den] * ws[cells % l])[None]
+        return scatter_sum(cells, terms, l * l).reshape(n, l, l)
+    if mode == "berezin":
+        A = np.zeros((n, l, l), dtype=complex)
+        sw = np.sqrt(w.arr())
+        norm = np.outer(sw, sw)
+        for m in range(l):
+            weight = w.w[l - 1 - m]
+            # th^m g thb^m inside the integral
+            core = multiply_stack(multiply_stack(PGElement.basis(l, m, 0).coeffs[None], G, ctx),
+                                  PGElement.basis(l, 0, m).coeffs[None], ctx)
+            # the integral of th^r core thb^s is core's coefficient at
+            # (l-1-r, l-1-s): th^r only raises the th exponents from the left
+            # and thb^s the thb exponents from the right, so no generator is
+            # reordered and no q-phase arises
+            A += weight * core[:, ::-1, ::-1] / norm
+        return A
+    raise ValueError(f"unknown coherent mode {mode!r}")
+
 
 def coherent_quantization(g: PGElement, w: WeightSeq, ctx: AlgebraCtx,
                           mode: str = "closed") -> np.ndarray:
@@ -230,31 +296,23 @@ def coherent_quantization(g: PGElement, w: WeightSeq, ctx: AlgebraCtx,
     """
     if not (g.l == w.l == ctx.l):
         raise ValueError("order mismatch")
+    return coherent_quantization_stack(g.coeffs[None], w, ctx, mode)[0]
+
+
+def toeplitz_flat_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx) -> np.ndarray:
+    """toeplitz_flat of each symbol of an (n, l, l) stack."""
     l = ctx.l
-    if mode == "closed":
-        # the Toeplitz table of the transposed symbol: its (i, j, a) is this
-        # map's (j, i, a), and each cell still sums its terms in increasing i
-        symbol, num, den, cells = _toeplitz_support(l)
-        ws = w.arr()
-        terms = (g.coeffs.T.ravel()[symbol] * ws[num]) / np.sqrt(ws[den] * ws[cells % l])
-        return scatter_sum(cells, terms, l * l).reshape(l, l)
-    if mode == "berezin":
-        A = np.zeros((l, l), dtype=complex)
-        sw = np.sqrt(w.arr())
-        norm = np.outer(sw, sw)
-        for m in range(l):
-            weight = w.w[l - 1 - m]
-            # th^m g thb^m inside the integral
-            core = multiply(
-                multiply(PGElement.basis(l, m, 0), g, ctx),
-                PGElement.basis(l, 0, m), ctx)
-            # the integral of th^r core thb^s is core's coefficient at
-            # (l-1-r, l-1-s): th^r only raises the th exponents from the left
-            # and thb^s the thb exponents from the right, so no generator is
-            # reordered and no q-phase arises
-            A += weight * core.coeffs[::-1, ::-1] / norm
-        return A
-    raise ValueError(f"unknown coherent mode {mode!r}")
+    n = len(G)
+    sw = np.sqrt(w.arr())
+    # row a holds the conjugated orthonormal element w_a^{-1/2} thb^a
+    basis = np.zeros((l, l, l), dtype=complex)
+    basis[np.arange(l), 0, np.arange(l)] = 1.0 / sw
+    # one product and one projection per (symbol, basis element) pair
+    products = multiply_stack(np.repeat(G, l, axis=0), np.tile(basis, (n, 1, 1)), ctx)
+    img = project_pk_bar_stack(products, w)[:, 0, :].reshape(n, l, l)
+    # thb^b coefficient scaled back to the conjugated orthonormal basis; the
+    # image of basis element a is column a
+    return np.swapaxes(img * sw, 1, 2)
 
 
 def toeplitz_flat(g: PGElement, w: WeightSeq, ctx: AlgebraCtx) -> np.ndarray:
@@ -262,15 +320,7 @@ def toeplitz_flat(g: PGElement, w: WeightSeq, ctx: AlgebraCtx) -> np.ndarray:
     expressed on the conjugated orthonormal basis w_a^{-1/2} thb^a."""
     if not (g.l == w.l == ctx.l):
         raise ValueError("order mismatch")
-    l = ctx.l
-    sw = np.sqrt(w.arr())
-    M = np.zeros((l, l), dtype=complex)
-    for a in range(l):
-        F = PGElement.basis(l, 0, a, 1.0 / sw[a])
-        img = project_pk_bar(multiply(g, F, ctx), w)
-        # thb^b coefficient scaled back to the conjugated orthonormal basis
-        M[:, a] = img.coeffs[0, :] * sw
-    return M
+    return toeplitz_flat_stack(g.coeffs[None], w, ctx)[0]
 
 
 # --- ladder structure ------------------------------------------------------

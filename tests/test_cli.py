@@ -242,14 +242,52 @@ class TestUsageErrorsInAFreshProcess:
         ("gram", "--l", "12", "--q", "1", "--weights", "factorial"),
         ("verify", "--l", "2", "--q", "1", "--weights", "1,1e308"),
         ("verify", "--l", "2", "--q", "1", "--weights", "1e-308,1"),
+        ("matrix", "--l", "2", "--q", "1", "--weights", "1e-300,1e300", "--which", "pk"),
+        ("matrix", "--l", "2", "--q", "1", "--weights", "1e-300,1e300",
+         "--which", "toeplitz", "--symbol", "th"),
+        ("matrix", "--l", "2", "--q", "1", "--weights", "1,1",
+         "--which", "toeplitz", "--symbol", "1e300*1e300*th"),
+        ("spectrum", "--l", "2", "--q", "1", "--weights", "1e-300,1e300"),
     ], ids=["deep-parentheses", "tiny-q", "infinite-q", "gram-determinant-overflow",
-            "verify-huge-weight", "verify-tiny-weight"])
+            "verify-huge-weight", "verify-tiny-weight", "pk-overflow", "toeplitz-overflow",
+            "symbol-overflow", "spectrum-overflow"])
     def test_exit_2_with_one_error_line(self, argv):
         proc = run_fresh(*argv)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+class TestFiniteOutputGate:
+    """A command prints only finite numbers; otherwise its one error line
+    names the quantity that overflowed."""
+
+    @pytest.mark.parametrize("argv,quantity", [
+        (("matrix", "--l", "2", "--q", "1", "--weights", "1e-300,1e300", "--which", "pk"),
+         "the pk matrix"),
+        (("matrix", "--l", "2", "--q", "1", "--weights", "1e-300,1e300",
+          "--which", "coherent", "--symbol", "th"), "the coherent matrix"),
+        (("matrix", "--l", "2", "--q", "1", "--weights", "1,1",
+          "--which", "toeplitz", "--symbol", "1e300*1e300*th"), "the symbol"),
+        (("gram", "--l", "12", "--q", "1", "--weights", "factorial"), "the Gram determinant"),
+        (("spectrum", "--l", "2", "--q", "1", "--weights", "1e-300,1e300"),
+         "the deformed integers"),
+        (("spectrum", "--l", "3", "--q", "1", "--weights", "1e-300,1,1e300"),
+         "the deformed factorials"),
+        (("verify", "--l", "2", "--q", "1", "--weights", "1,1e308"),
+         "the residual of adjoint_symbol_rule at l=2 q=1 w=custom"),
+    ])
+    def test_names_the_quantity(self, capsys, argv, quantity):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {quantity} overflowed to inf or NaN for these inputs\n"
+
+    def test_finite_output_is_unchanged(self, capsys):
+        code, out, _ = run(capsys, "matrix", "--l", "2", "--q", "1", "--weights", "1e-100,1e100",
+                           "--which", "pk")
+        assert code == 0
+        assert json.loads(out)["rows"][0][3] == [1e200, 0.0]
 
 
 class TestGramCommand:

@@ -7,7 +7,9 @@ charge-graded form adjoint) gather and scatter over per-order index tables;
 these tests compare them with their definitions, written as plain loops or as
 an independent route, also at orders the verify grid does not reach.  Where
 the loop is the route the table replaced, the comparison is exact: the table
-sums each output in the loop's order, so not a bit may move.
+sums each output in the loop's order, so not a bit may move.  Each kernel's
+stacked form, on a stack of n tables, must equal n single calls bit for bit,
+and a stacked draw must give the samples of a loop of single draws.
 """
 import itertools
 import math
@@ -22,15 +24,19 @@ import numpy as np
 import pytest
 
 import pgquant
-from pgquant import (AlgebraCtx, Const, Gen, PGElement, Pow, Sum, THETA,
-                     THETA_BAR, WeightSeq, adjoint_wrt_form, anti_wick_product,
-                     aw_index, coherent_quantization, conjugate, form,
+from pgquant import (MONOMIAL, ORTHONORMAL, AlgebraCtx, Const, Gen, OperatorBH,
+                     PGElement, Pow, Sum, THETA, THETA_BAR, WeightSeq,
+                     adjoint_wrt_form, anti_wick_product, aw_index,
+                     coherent_quantization, conjugate, convert_basis, form,
                      from_free_expr, gram_matrix, mult_operator, multiply,
                      normal_order, pk_operator, project_pk, project_pk_bar,
-                     toeplitz)
-from pgquant.forms import _charge_hankels, _charge_order
-from pgquant.quantization import _holomorphic_right_support
-from pgquant.verify import GRID_QS
+                     toeplitz, toeplitz_adjoint, toeplitz_flat)
+from pgquant.algebra import conjugate_stack, multiply_stack, scatter_sum
+from pgquant.forms import _charge_hankels, _charge_order, form_stack
+from pgquant.quantization import (_holomorphic_right_support, coherent_quantization_stack,
+                                  convert_basis_stack, project_pk_bar_stack, project_pk_stack,
+                                  toeplitz_adjoint_stack, toeplitz_flat_stack, toeplitz_stack)
+from pgquant.verify import GRID_QS, compression_samples, random_element, random_elements
 
 GRID_Q_VALUES = [q for _, q in GRID_QS]
 
@@ -418,3 +424,113 @@ def test_context_rejects_q_whose_inverse_powers_overflow():
     # q^-1 itself overflows for a subnormal q
     with pytest.raises(ValueError, match="too small"):
         AlgebraCtx(2, 1e-310)
+
+
+# --- the stacked kernels: a stack of n tables is n single calls ----------------
+
+def sparse_stack(rng, l, n):
+    return np.array([rand_sparse_element(rng, l).coeffs for _ in range(n)])
+
+
+def each(fn, stack):
+    """fn's n = 1 result for each table of a stack, stacked again."""
+    return np.array([fn(PGElement(table.shape[-1], table)) for table in stack])
+
+
+@pytest.mark.parametrize("n", (1, 5))
+@pytest.mark.parametrize("q", GRID_Q_VALUES)
+@pytest.mark.parametrize("l", range(2, 10))
+def test_stacked_kernels_equal_single_calls(l, q, n):
+    """Bit for bit, also across the blocks a stack is cut into (five tables of
+    l = 9 span two), with about a third of the coefficients exactly zero."""
+    ctx = AlgebraCtx(l, q)
+    rng = np.random.default_rng([l, n, 26])
+    w = rand_weights(rng, l)
+    F, G = sparse_stack(rng, l, n), sparse_stack(rng, l, n)
+    pairs = [(PGElement(l, f), PGElement(l, g)) for f, g in zip(F, G)]
+    assert np.array_equal(multiply_stack(F, G, ctx),
+                          [multiply(f, g, ctx).coeffs for f, g in pairs])
+    assert np.array_equal(multiply_stack(F[:1], G, ctx),
+                          [multiply(pairs[0][0], g, ctx).coeffs for _, g in pairs])
+    for mode in ("closed", "definitional"):
+        assert np.array_equal(form_stack(F, G, w, mode), [form(f, g, w, mode) for f, g in pairs])
+    for mode in ("closed", "projection"):
+        assert np.array_equal(toeplitz_stack(G, w, ctx, mode),
+                              each(lambda g: toeplitz(g, w, ctx, mode).matrix, G))
+    for mode in ("closed", "berezin"):
+        assert np.array_equal(coherent_quantization_stack(G, w, ctx, mode),
+                              each(lambda g: coherent_quantization(g, w, ctx, mode), G))
+    for mode in ("closed", "kernel"):
+        assert np.array_equal(project_pk_stack(F, w, mode),
+                              each(lambda f: project_pk(f, w, mode).coeffs, F))
+    assert np.array_equal(project_pk_bar_stack(F, w), each(lambda f: project_pk_bar(f, w).coeffs, F))
+    assert np.array_equal(toeplitz_flat_stack(G, w, ctx),
+                          each(lambda g: toeplitz_flat(g, w, ctx), G))
+    assert np.array_equal(conjugate_stack(F), each(lambda f: conjugate(f).coeffs, F))
+    T = toeplitz_stack(G, w, ctx)
+    assert np.array_equal(toeplitz_adjoint_stack(T, w), [
+        toeplitz_adjoint(OperatorBH(l, M, MONOMIAL), w).matrix for M in T])
+    for target in (ORTHONORMAL, MONOMIAL):
+        source = MONOMIAL if target == ORTHONORMAL else ORTHONORMAL
+        assert np.array_equal(convert_basis_stack(T, w, target), [
+            convert_basis(OperatorBH(l, M, source), w, target).matrix for M in T])
+
+
+@pytest.mark.parametrize("n", (1, 5))
+def test_scatter_sum_rows_equal_single_rows(n):
+    rng = np.random.default_rng([n, 27])
+    cells = rng.integers(0, 7, 40)
+    terms = rng.standard_normal((n, 40)) + 1j * rng.standard_normal((n, 40))
+    terms[rng.random((n, 40)) < 0.35] = -0.0
+    got = scatter_sum(cells, terms, 7)
+    assert got.shape == (n, 7)
+    for row, want in zip(terms, got):
+        assert np.array_equal(scatter_sum(cells, row[None], 7)[0], want)
+
+
+def loop_toeplitz_flat(g, w, ctx):
+    """toeplitz_flat as one product and one projection per basis column."""
+    l = ctx.l
+    sw = np.sqrt(w.arr())
+    M = np.zeros((l, l), dtype=complex)
+    for a in range(l):
+        F = PGElement.basis(l, 0, a, 1.0 / sw[a])
+        M[:, a] = project_pk_bar(multiply(g, F, ctx), w).coeffs[0, :] * sw
+    return M
+
+
+@pytest.mark.parametrize("q", GRID_Q_VALUES)
+@pytest.mark.parametrize("l", (2, 3, 6, 9, 13))
+def test_toeplitz_flat_equals_its_column_loop(l, q):
+    ctx = AlgebraCtx(l, q)
+    rng = np.random.default_rng([l, 28])
+    for _ in range(3):
+        w = rand_weights(rng, l)
+        g = rand_sparse_element(rng, l)
+        assert np.array_equal(toeplitz_flat(g, w, ctx), loop_toeplitz_flat(g, w, ctx))
+
+
+# --- stacked draws: one generator call gives the samples of a loop -------------
+
+@pytest.mark.parametrize("l", (2, 3, 6))
+@pytest.mark.parametrize("mask", [{}, {"holomorphic": True}, {"anti_holomorphic": True}],
+                         ids=["dense", "holomorphic", "anti-holomorphic"])
+def test_stacked_draw_equals_successive_random_elements(l, mask):
+    one, loop = np.random.default_rng([l, 29]), np.random.default_rng([l, 29])
+    stack = random_elements(one, (4, 3), l, **mask)
+    assert stack.shape == (4, 3, l, l)
+    want = [random_element(loop, l, **mask).coeffs for _ in range(12)]
+    assert np.array_equal(stack.reshape(12, l, l), want)
+    # both generators are left in the same state
+    assert one.standard_normal() == loop.standard_normal()
+
+
+@pytest.mark.parametrize("l", (2, 3, 6))
+def test_compression_samples_equal_the_interleaved_draws(l):
+    one, loop = np.random.default_rng([l, 30]), np.random.default_rng([l, 30])
+    g, f1, f2 = compression_samples(one, 5, l)
+    for k in range(5):
+        assert np.array_equal(g[k], random_element(loop, l).coeffs)
+        assert np.array_equal(f1[k], loop.standard_normal(l) + 1j * loop.standard_normal(l))
+        assert np.array_equal(f2[k], loop.standard_normal(l) + 1j * loop.standard_normal(l))
+    assert one.standard_normal() == loop.standard_normal()

@@ -2,15 +2,23 @@
 
 A check returns its residuals or raises CheckFailure; these tests pin how
 run_point reduces either to (residual, status, note), including residuals that
-are NaN or infinite, and that every check keeps that contract.
+are NaN or infinite, and that every check keeps that contract.  The checks
+that draw their samples as stacks are pinned to the per-sample loops they
+replaced: the same residuals, bit for bit.
 """
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from pgquant import algebra as alg
 from pgquant import verify as verify_mod
-from pgquant.forms import WeightSeq
+from pgquant.algebra import PGElement
+from pgquant.forms import WeightSeq, adjoint_wrt_form, form
+from pgquant.quantization import (coherent_quantization, matrix_rank, mult_operator,
+                                  pk_operator, project_pk, span_rank, toeplitz,
+                                  toeplitz_adjoint, toeplitz_flat, toeplitz_orthonormal)
 from pgquant.verify import EXPECTED_FAIL, CheckFailure
 
 
@@ -56,6 +64,16 @@ def test_raised_failures_keep_residual_one_and_their_note(monkeypatch):
     assert (witnessed.residual, witnessed.status, witnessed.note) == (0.0, EXPECTED_FAIL, "")
 
 
+def test_an_svd_that_does_not_converge_fails_as_inf(monkeypatch):
+    # numpy's SVD reports a matrix holding inf or NaN this way
+    def diverging(ctx, w, rng, tol):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    with_check(monkeypatch, "defining_relation", diverging)
+    [r] = point(checks=("defining_relation",))
+    assert (r.residual, r.status, r.note) == (math.inf, "fail", "SVD did not converge")
+
+
 @pytest.mark.parametrize("l", [2, 4])
 @pytest.mark.parametrize("name", ["toeplitz_dual_path", "multiplicativity",
                                   "adjoint_symbol_rule"])
@@ -83,3 +101,226 @@ def test_every_check_returns_a_list_of_residuals(name, fn):
 def test_unknown_check_names_are_rejected(checks):
     with pytest.raises(ValueError, match="CHECK_NAMES"):
         point(checks=checks)
+
+
+# --- each batched check against the per-sample loop it replaced ---------------
+# The loops below are the checks as they were written before the checks drew
+# their samples as stacks: one random_element (or one vector) per draw, one
+# kernel call per sample.  A batched check must return exactly their residuals.
+
+def draw(rng, l, holomorphic=False, anti_holomorphic=False):
+    table = rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l))
+    if holomorphic:
+        table[:, 1:] = 0
+    if anti_holomorphic:
+        table[1:, :] = 0
+    return PGElement(l, table)
+
+
+def max_abs(x):
+    return float(np.max(np.abs(x)))
+
+
+def vec_bh(x, l):
+    out = np.zeros(l * l, dtype=complex)
+    out[::l] = x
+    return out
+
+
+def loop_associativity(ctx, w, rng, tol):
+    residuals = []
+    for _ in range(10):
+        f, g, h = (draw(rng, ctx.l) for _ in range(3))
+        lhs = alg.multiply(alg.multiply(f, g, ctx), h, ctx)
+        rhs = alg.multiply(f, alg.multiply(g, h, ctx), ctx)
+        residuals.append(max_abs(lhs.coeffs - rhs.coeffs) / max(1.0, max_abs(rhs.coeffs)))
+    return residuals
+
+
+def loop_star_criterion(ctx, w, rng, tol):
+    thb = PGElement.basis(ctx.l, 0, 1)
+    th = PGElement.basis(ctx.l, 1, 0)
+    witness = alg.conjugate(alg.multiply(thb, th, ctx)) - alg.multiply(
+        alg.conjugate(th), alg.conjugate(thb), ctx)
+    witness_res = max_abs(witness.coeffs)
+    if ctx.q.imag != 0:
+        if witness_res > tol:
+            raise CheckFailure(expected=True)
+        return [witness_res + 1.0]
+    residuals = [witness_res]
+    for _ in range(10):
+        f, g = draw(rng, ctx.l), draw(rng, ctx.l)
+        prod = alg.multiply(f, g, ctx)
+        res = alg.conjugate(prod) - alg.multiply(alg.conjugate(g), alg.conjugate(f), ctx)
+        residuals.append(max_abs(res.coeffs) / max(1.0, max_abs(prod.coeffs)))
+    return residuals
+
+
+def loop_holomorphic_conjugation(ctx, w, rng, tol):
+    residuals = []
+    for _ in range(10):
+        f = draw(rng, ctx.l, holomorphic=True)
+        g = draw(rng, ctx.l, holomorphic=True)
+        res = alg.conjugate(alg.multiply(f, g, ctx)) - alg.multiply(
+            alg.conjugate(f), alg.conjugate(g), ctx)
+        residuals.append(max_abs(res.coeffs))
+    return residuals
+
+
+def loop_free_expr_linearity(ctx, w, rng, tol):
+    residuals = []
+    for _ in range(10):
+        e1, e2 = verify_mod._random_expr(rng), verify_mod._random_expr(rng)
+        a = complex(rng.standard_normal(), rng.standard_normal())
+        b = complex(rng.standard_normal(), rng.standard_normal())
+        combined = alg.Sum((alg.Prod((alg.Const(a), e1)), alg.Prod((alg.Const(b), e2))))
+        lhs = alg.from_free_expr(combined, ctx)
+        rhs = a * alg.from_free_expr(e1, ctx) + b * alg.from_free_expr(e2, ctx)
+        residuals.append(max_abs(lhs.coeffs - rhs.coeffs))
+    return residuals
+
+
+def loop_form_mode_agreement(ctx, w, rng, tol):
+    pairs = ((draw(rng, ctx.l), draw(rng, ctx.l)) for _ in range(200))
+    return [abs(form(f, g, w, "closed") - form(f, g, w, "definitional")) for f, g in pairs]
+
+
+def loop_adjoint_wrt_form(ctx, w, rng, tol):
+    l = ctx.l
+    A = rng.standard_normal((l * l, l * l)) + 1j * rng.standard_normal((l * l, l * l))
+    Astar = adjoint_wrt_form(A, w)
+    residuals = []
+    for _ in range(100):
+        f, g = draw(rng, l), draw(rng, l)
+        lhs = form(PGElement.from_vector(l, A @ f.vector()), g, w)
+        rhs = form(f, PGElement.from_vector(l, Astar @ g.vector()), w)
+        residuals.append(abs(lhs - rhs) / max(1.0, abs(lhs)))
+    residuals.append(max_abs(adjoint_wrt_form(Astar, w) - A) / max(1.0, max_abs(A)))
+    return residuals
+
+
+def loop_pk_projection(ctx, w, rng, tol):
+    l = ctx.l
+    P = pk_operator(w)
+    residuals = [max_abs(P @ P - P), max_abs(adjoint_wrt_form(P, w) - P)]
+    if matrix_rank(P) != l:
+        raise CheckFailure()
+    for _ in range(10):
+        F = draw(rng, l)
+        residuals.append(max_abs(project_pk(F, w, "closed").coeffs
+                                 - project_pk(F, w, "kernel").coeffs))
+        h = draw(rng, l, holomorphic=True)
+        residuals.append(max_abs(project_pk(h, w).coeffs - h.coeffs))
+    return residuals
+
+
+def loop_toeplitz_dual_path(ctx, w, rng, tol):
+    l = ctx.l
+    symbols = itertools.chain((PGElement.basis(l, i, j) for i in range(l) for j in range(l)),
+                              (draw(rng, l) for _ in range(50)))
+    return [max_abs(toeplitz(g, w, ctx, "closed").matrix - toeplitz(g, w, ctx, "projection").matrix)
+            for g in symbols]
+
+
+def loop_compression_identity(ctx, w, rng, tol):
+    l = ctx.l
+    residuals = []
+    for _ in range(20):
+        g = draw(rng, l)
+        T = toeplitz(g, w, ctx).matrix
+        Mg = mult_operator(g, "right", ctx)
+        f1 = rng.standard_normal(l) + 1j * rng.standard_normal(l)
+        f2 = rng.standard_normal(l) + 1j * rng.standard_normal(l)
+        e1 = PGElement.from_vector(l, vec_bh(f1, l))
+        lhs = form(e1, PGElement.from_vector(l, vec_bh(T @ f2, l)), w)
+        rhs = form(e1, PGElement.from_vector(l, Mg @ vec_bh(f2, l)), w)
+        residuals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return residuals
+
+
+def loop_toeplitz_iso_rank(ctx, w, rng, tol):
+    l = ctx.l
+    if span_rank(toeplitz(PGElement.basis(l, i, j), w, ctx).matrix
+                 for i in range(l) for j in range(l)) != l * l:
+        raise CheckFailure()
+    return []
+
+
+def loop_adjoint_symbol_rule(ctx, w, rng, tol):
+    l = ctx.l
+    residuals = []
+    for _ in range(50):
+        g = draw(rng, l)
+        lhs = toeplitz_adjoint(toeplitz(g, w, ctx), w).matrix
+        rhs = toeplitz(alg.conjugate(g), w, ctx).matrix
+        residuals.append(max_abs(lhs - rhs))
+    g_sa = PGElement.basis(l, 1, 0) + PGElement.basis(l, 0, 1) + PGElement.basis(l, 1, 1)
+    T = toeplitz(g_sa, w, ctx)
+    residuals.append(max_abs(toeplitz_adjoint(T, w).matrix - T.matrix))
+    Tn = toeplitz(PGElement.basis(l, 1, 0), w, ctx)
+    if np.allclose(toeplitz_adjoint(Tn, w).matrix, Tn.matrix, atol=tol):
+        raise CheckFailure()
+    return residuals
+
+
+def loop_multiplicativity(ctx, w, rng, tol):
+    l = ctx.l
+    residuals = []
+    for _ in range(50):
+        g1 = draw(rng, l, holomorphic=True)
+        g2 = draw(rng, l, holomorphic=True)
+        h1 = draw(rng, l, anti_holomorphic=True)
+        h2 = draw(rng, l, anti_holomorphic=True)
+        for a, b in ((g1, g2), (h1, h2)):
+            Ta, Tb = toeplitz(a, w, ctx).matrix, toeplitz(b, w, ctx).matrix
+            Tab = toeplitz(alg.multiply(a, b, ctx), w, ctx).matrix
+            scale = max(1.0, max_abs(Tab))
+            residuals += [max_abs(Ta @ Tb - Tab) / scale, max_abs(Tb @ Ta - Tab) / scale]
+    return residuals
+
+
+def loop_quantization_equivalences(ctx, w, rng, tol):
+    l = ctx.l
+    residuals = []
+    for _ in range(50):
+        g = draw(rng, l)
+        A = coherent_quantization(alg.z_map(g), w, ctx)
+        residuals.append(max_abs(A - toeplitz_orthonormal(g, w, ctx).matrix))
+        residuals.append(max_abs(toeplitz_flat(g, w, ctx) - coherent_quantization(g, w, ctx)))
+    for _ in range(10):
+        g = draw(rng, l)
+        residuals.append(max_abs(coherent_quantization(g, w, ctx, "closed")
+                                 - coherent_quantization(g, w, ctx, "berezin")))
+    if span_rank(coherent_quantization(PGElement.basis(l, i, j), w, ctx)
+                 for i in range(l) for j in range(l)) != l * l:
+        raise CheckFailure()
+    return residuals
+
+
+LOOPS = {name[len("loop_"):]: fn for name, fn in globals().items() if name.startswith("loop_")}
+
+
+def outcome(fn, ctx, w, seed):
+    """What a check returns, or the failure it raises."""
+    try:
+        return fn(ctx, w, np.random.default_rng(seed), verify_mod.DEFAULT_TOL)
+    except CheckFailure as found:
+        return ("raised", found.note, found.expected)
+
+
+def test_every_batched_check_has_its_loop():
+    assert set(LOOPS) <= set(verify_mod.CHECK_NAMES) and len(LOOPS) == 13
+
+
+@pytest.mark.parametrize("l", [2, 4, 6])
+@pytest.mark.parametrize("name", sorted(LOOPS))
+def test_batched_check_returns_the_residuals_of_its_loop(name, l):
+    """Exactly, at every grid q and for two weight families."""
+    check = dict(verify_mod.CHECKS)[name]
+    for q_id, q in verify_mod.GRID_QS:
+        ctx = verify_mod.AlgebraCtx(l, q)
+        for w_id in ("rand2", "factorial"):
+            w = verify_mod.grid_weights(w_id, l)
+            seed = [7, l, sum(map(ord, q_id)), len(w_id)]
+            got = outcome(check, ctx, w, seed)
+            assert got == outcome(LOOPS[name], ctx, w, seed), (q_id, w_id)
