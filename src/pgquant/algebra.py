@@ -231,12 +231,9 @@ def multiply(f: PGElement, g: PGElement, ctx: AlgebraCtx) -> PGElement:
 
 
 def anti_wick_product(f: PGElement, g: PGElement) -> PGElement:
-    """Exponent-adding product with no q factor; a plain truncated convolution."""
-    _check_same_order(f, g)
-    l = f.l
-    left, right, _, cells = product_support(l)
-    terms = f.coeffs.ravel()[left] * g.coeffs.ravel()[right]
-    return PGElement(l, scatter_sum(cells, terms[None], l * l).reshape(l, l))
+    """Exponent-adding product with no q factor; a plain truncated convolution.
+    It is the algebra product at q = 1."""
+    return multiply(f, g, AlgebraCtx(f.l))
 
 
 def conjugate_stack(F: np.ndarray) -> np.ndarray:

@@ -33,11 +33,6 @@ class WeightSeq:
             raise ValueError("weights must be finite and strictly positive")
         object.__setattr__(self, "w", w)
 
-    @classmethod
-    def from_values(cls, values) -> "WeightSeq":
-        values = tuple(values)
-        return cls(len(values), values)
-
     def ratio(self, num: int, den: int) -> float:
         """w_num / w_den, defined as 0 when either index is out of range.
 
@@ -106,29 +101,6 @@ def gram_matrix(w: WeightSeq) -> np.ndarray:
     G[rows, cols] = w.arr()[k]
     G.flags.writeable = False
     return G
-
-
-@functools.lru_cache(maxsize=None)
-def _charge_order(l: int):
-    """The Gram matrix at order l, regrouped by charge.
-
-    Entry ((a,b),(c,d)) vanishes unless the charges a-b and c-d agree, so
-    listing the flat positions a*l+b by charge s = a-b (s increasing, then a
-    increasing) makes the Gram matrix block diagonal.  Returns that order, its
-    inverse permutation and, per charge, the slice of the order the charge
-    occupies together with |s|; the block of charge s has size l-|s|.
-    """
-    a, b = np.divmod(np.arange(l * l), l)
-    order = np.lexsort((a, a - b))
-    unorder = np.argsort(order)
-    for arr in (order, unorder):
-        arr.flags.writeable = False
-    blocks, start = [], 0
-    for s in range(1 - l, l):
-        n = l - abs(s)
-        blocks.append((slice(start, start + n), abs(s)))
-        start += n
-    return order, unorder, tuple(blocks)
 
 
 @functools.lru_cache(maxsize=None)
@@ -255,27 +227,34 @@ def form(f: PGElement, g: PGElement, w: WeightSeq, mode: str = "closed") -> comp
 def adjoint_wrt_form(A: np.ndarray, w: WeightSeq) -> np.ndarray:
     """A* with <A f, g>_w = <f, A* g>_w over the full algebra: G^{-1} A^H G.
 
-    Works charge block by charge block: in the charge order G is block
-    diagonal and symmetric, so (A^H G)^T = G conj(A) and both products are
-    row-block products with real blocks.
+    Works charge block by charge block: G links flat position a*l+b only to
+    positions of the same charge s = a-b, on which it is symmetric with the
+    real block H[:l-|s|, |s|:] of _charge_hankels, so (A^H G)^T = G conj(A)
+    and both products are row-block products with real blocks.
     """
-    A = np.asarray(A, dtype=complex)
+    A = np.ascontiguousarray(A, dtype=complex)
     l = w.l
     if A.shape != (l * l, l * l):
         raise ValueError(f"operator must be {l * l}x{l * l}")
-    order, unorder, blocks = _charge_order(l)
     H, U = _charge_hankels(w)
+    # the l-|s| positions of charge s, a increasing, are every (l+1)-th from
+    # s*l (s >= 0) or from -s (s < 0); the stop is explicit because for
+    # s <= -2 the progression runs on into charge s+l+1
+    charges = []
+    for s in range(1 - l, l):
+        start, n = (s * l if s >= 0 else -s), l - abs(s)
+        charges.append((slice(start, start + (n - 1) * (l + 1) + 1, l + 1), abs(s)))
     # viewed as float, a C-ordered complex array holds re and im side by side
     # in each row, so a real block times a block of rows is one real product
-    Y = np.conj(A)[np.ix_(order, order)]
+    Y = np.conj(A)
     Yr = Y.view(np.float64)
-    for rows, s in blocks:
+    for rows, s in charges:
         Yr[rows] = H[:l - s, s:] @ Yr[rows]
     X = np.ascontiguousarray(Y.T)
     Xr = X.view(np.float64)
-    for rows, s in blocks:
+    for rows, s in charges:
         Xr[rows] = U[s:, :l - s] @ Xr[rows]
-    return X[np.ix_(unorder, unorder)]
+    return X
 
 
 def orthonormal_phi(j: int, w: WeightSeq) -> PGElement:

@@ -184,21 +184,6 @@ def _toeplitz_support(l: int):
     return table
 
 
-@functools.lru_cache(maxsize=None)
-def _holomorphic_right_support(l: int):
-    """The entries of product_support(l) whose left factor is holomorphic
-    (b = 0, so the phase q^{-bc} is 1), as flat index arrays of the right
-    factor's position and of the place the term lands in the l^2 x l matrix of
-    F -> F*g restricted to holomorphic F: row (a+c)*l+d, column a.  Each place
-    receives exactly one term."""
-    left, right, _, cells = product_support(l)
-    keep = left % l == 0
-    table = (right[keep], cells[keep] * l + left[keep] // l)
-    for arr in table:
-        arr.flags.writeable = False
-    return table
-
-
 def toeplitz_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx,
                    mode: str = "closed") -> np.ndarray:
     """The monomial-basis Toeplitz matrices of an (n, l, l) stack of symbols."""
@@ -210,12 +195,14 @@ def toeplitz_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx,
         terms = gather(G, symbol) * (ws[num] / ws[den])[None]
         return scatter_sum(cells, terms, l * l).reshape(n, l, l)
     if mode == "projection":
-        # only the holomorphic rows of P and columns of M reach the block kept
-        g_at, places = _holomorphic_right_support(l)
-        M = np.zeros((n, l ** 3), dtype=complex)
-        M[:, places] = gather(G, g_at)
+        # only the holomorphic rows of P and columns of M reach the block
+        # kept.  Column a of M is th^a * g: g's table moved down a rows, with
+        # no phase, since th^a holds no thb to move past g's th factors
+        M = np.zeros((n, l, l, l), dtype=complex)
+        for a in range(l):
+            M[:, a:, :, a] = G[:, :l - a, :]
         # one l x l^2 by l^2 x l product per symbol, as for a single symbol
-        return pk_operator(w)[np.arange(l) * l, :] @ M.reshape(n, l * l, l)
+        return pk_operator(w)[::l] @ M.reshape(n, l * l, l)
     raise ValueError(f"unknown toeplitz mode {mode!r}")
 
 
@@ -359,12 +346,16 @@ def operator_norm_bh(A: OperatorBH, w: WeightSeq) -> float:
     return float(np.linalg.svd(on.matrix, compute_uv=False)[0])
 
 
-def matrix_rank(M: np.ndarray, rel_threshold: float = 1e-9) -> int:
-    """Rank by singular-value thresholding at rel_threshold * sigma_max."""
+# matrix_rank counts the singular values above this multiple of the largest
+RANK_THRESHOLD = 1e-9
+
+
+def matrix_rank(M: np.ndarray) -> int:
+    """Rank by singular-value thresholding at RANK_THRESHOLD * sigma_max."""
     s = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
-    return int(np.sum(s > rel_threshold * s[0]))
+    return int(np.sum(s > RANK_THRESHOLD * s[0]))
 
 
 def span_rank(ops) -> int:

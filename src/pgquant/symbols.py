@@ -14,7 +14,7 @@ spellings of the two generators are accepted as aliases.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .algebra import (THETA, THETA_BAR, Const, FreeExpr, Gen, Neg, PGElement,
                       Pow, Prod, QSym, Sum)
@@ -35,7 +35,6 @@ class Token:
 class ParseError(Exception):
     position: int
     message: str
-    expected: tuple = field(default_factory=tuple)
 
     def __str__(self):
         return f"parse error at position {self.position}: {self.message}"
@@ -130,13 +129,13 @@ class _Parser:
     def expect(self, kind: str, what: str) -> Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(tok.pos, f"expected {what}", expected=(kind,))
+            raise ParseError(tok.pos, f"expected {what}")
         return self.advance()
 
     def parse(self) -> FreeExpr:
         tok = self.peek()
         if tok.kind == "end":
-            raise ParseError(tok.pos, "empty input", expected=_ATOM_KINDS)
+            raise ParseError(tok.pos, "empty input")
         expr = self.expr()
         tok = self.peek()
         if tok.kind != "end":
@@ -186,8 +185,7 @@ class _Parser:
             self.advance()
             etok = self.peek()
             if etok.kind != "number" or not etok.text.isdigit():
-                raise ParseError(etok.pos, "non-negative integer exponent expected",
-                                 expected=("number",))
+                raise ParseError(etok.pos, "non-negative integer exponent expected")
             self.advance()
             return Pow(base, int(etok.text))
         return base
@@ -216,7 +214,7 @@ class _Parser:
             self.expect("rparen", "closing parenthesis")
             return inner
         raise ParseError(tok.pos, f"expected a value, found {tok.text!r}" if tok.text
-                         else "expected a value", expected=_ATOM_KINDS)
+                         else "expected a value")
 
 
 def parse(text: str) -> FreeExpr:

@@ -1,7 +1,8 @@
-"""Every module-level import in the package is used by its module.
+"""Every module-level import in the package is used by its module, and every
+module-level private name is read somewhere in the package.
 
 The package re-exports its public names from __init__.py, so that module is
-exempt.
+exempt from the import check.
 """
 import ast
 import pathlib
@@ -32,3 +33,39 @@ def test_the_check_sees_an_unused_import():
                                         if p.name != "__init__.py"))
 def test_no_unused_module_level_import(path):
     assert unused_imports((PACKAGE / path).read_text()) == []
+
+
+def orphaned_private_names(sources: dict) -> list:
+    """(module, name) for each module-level private name (one leading
+    underscore, not a dunder) that no module of sources reads, by name, as
+    an attribute or in a from-import."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(module, t.id) for t in targets if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return [(module, name) for module, name in defined
+            if name.startswith("_") and not name.startswith("__") and name not in read]
+
+
+def test_the_check_sees_an_orphaned_private_helper():
+    sources = {"a.py": "def _orphan():\n    pass\ndef _used():\n    pass\n"
+                       "class _Cls:\n    pass\n_CONST = 1\n_LEFT: int = 2\n__all__ = []\n",
+               "b.py": "from .a import _used\nfrom . import a\nprint(a._CONST, _Cls)\n"}
+    assert orphaned_private_names(sources) == [("a.py", "_orphan"), ("a.py", "_LEFT")]
+
+
+def test_no_orphaned_private_helper():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert orphaned_private_names(sources) == []

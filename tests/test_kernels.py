@@ -3,8 +3,8 @@
 The fast kernels (multiply, mult_operator, the closed Toeplitz map, the berezin
 route, the closed form, the Gram matrix, the anti-Wick product, the kernel
 projections and P_K, the closed coherent map, the definitional form, the
-charge-graded form adjoint) gather and scatter over per-order index tables;
-these tests compare them with their definitions, written as plain loops or as
+charge-graded form adjoint) gather and scatter over per-order index tables or
+strided slices; these tests compare them with their definitions, written as plain loops or as
 an independent route, also at orders the verify grid does not reach.  Where
 the loop is the route the table replaced, the comparison is exact: the table
 sums each output in the loop's order, so not a bit may move.  Each kernel's
@@ -32,9 +32,9 @@ from pgquant import (MONOMIAL, ORTHONORMAL, AlgebraCtx, Const, Gen, OperatorBH,
                      normal_order, pk_operator, project_pk, project_pk_bar,
                      toeplitz, toeplitz_adjoint, toeplitz_flat)
 from pgquant.algebra import conjugate_stack, multiply_stack, scatter_sum
-from pgquant.forms import _charge_hankels, _charge_order, form_stack
-from pgquant.quantization import (_holomorphic_right_support, coherent_quantization_stack,
-                                  convert_basis_stack, project_pk_bar_stack, project_pk_stack,
+from pgquant.forms import _charge_hankels, form_stack
+from pgquant.quantization import (coherent_quantization_stack, convert_basis_stack,
+                                  project_pk_bar_stack, project_pk_stack,
                                   toeplitz_adjoint_stack, toeplitz_flat_stack, toeplitz_stack)
 from pgquant.verify import GRID_QS, compression_samples, random_element, random_elements
 
@@ -174,12 +174,11 @@ def test_projection_toeplitz_is_the_holomorphic_block_of_the_full_product(q):
 @pytest.mark.parametrize("l", range(2, 25))
 def test_projection_toeplitz_columns_are_the_holomorphic_columns_of_mult_operator(l):
     ctx = AlgebraCtx(l, GRID_Q_VALUES[l % len(GRID_Q_VALUES)])
+    w = rand_weights(np.random.default_rng([l, 20]), l)
     g = rand_sparse_element(np.random.default_rng([l, 20]), l)
-    g_at, places = _holomorphic_right_support(l)
-    cols = np.zeros(l ** 3, dtype=complex)
-    cols[places] = g.coeffs.ravel()[g_at]
-    want = mult_operator(g, "right", ctx)[:, np.arange(l) * l]
-    assert np.array_equal(cols.reshape(l * l, l), want)
+    # the holomorphic elements th^a sit at every l-th flat position
+    want = pk_operator(w)[::l] @ mult_operator(g, "right", ctx)[:, ::l]
+    assert np.array_equal(toeplitz(g, w, ctx, "projection").matrix, want)
 
 
 # --- the charge-graded form adjoint ------------------------------------------
@@ -247,7 +246,7 @@ def test_graded_adjoint_matches_the_dense_solve(l):
 def test_graded_adjoint_is_exact_to_rounding(weights):
     """Within 1e-14 of the rational result, also where cond(G) is 1e10 and
     the dense LU loses digits."""
-    w = WeightSeq.from_values(weights)
+    w = WeightSeq(len(weights), weights)
     A = rand_operator(np.random.default_rng([w.l, 23]), w.l)
     assert rel_err(adjoint_wrt_form(A, w), exact_adjoint(A, w)) <= 1e-14
 
@@ -264,18 +263,70 @@ def test_graded_adjoint_is_an_involution(l):
         assert rel_err(adjoint_wrt_form(adjoint_wrt_form(A, w), w), A) <= 1e-12
 
 
+def charge_slices(l):
+    """(s, slice) per charge s = a-b: the flat positions a*l+b of charge s,
+    a increasing, as adjoint_wrt_form slices them."""
+    for s in range(1 - l, l):
+        start, n = (s * l if s >= 0 else -s), l - abs(s)
+        yield s, slice(start, start + (n - 1) * (l + 1) + 1, l + 1)
+
+
+def permuted_adjoint(A, w):
+    """The graded adjoint as it was first written: A's rows and columns
+    gathered into the charge order (s increasing, then a), where G is block
+    diagonal, and the result gathered back."""
+    A = np.asarray(A, dtype=complex)
+    l = w.l
+    a, b = np.divmod(np.arange(l * l), l)
+    order = np.lexsort((a, a - b))
+    unorder = np.argsort(order)
+    blocks, start = [], 0
+    for s in range(1 - l, l):
+        n = l - abs(s)
+        blocks.append((slice(start, start + n), abs(s)))
+        start += n
+    H, U = _charge_hankels(w)
+    Y = np.conj(A)[np.ix_(order, order)]
+    Yr = Y.view(np.float64)
+    for rows, s in blocks:
+        Yr[rows] = H[:l - s, s:] @ Yr[rows]
+    X = np.ascontiguousarray(Y.T)
+    Xr = X.view(np.float64)
+    for rows, s in blocks:
+        Xr[rows] = U[s:, :l - s] @ Xr[rows]
+    return X[np.ix_(unorder, unorder)]
+
+
+@pytest.mark.parametrize("law", [(0.25, 4.0), (0.8, 1.25)], ids=["U(0.25,4)", "U(0.8,1.25)"])
+@pytest.mark.parametrize("l", [*range(2, 13), 16, 24])
+def test_graded_adjoint_equals_the_permuted_route(l, law):
+    """Bit for bit: slicing each charge in place runs the same block
+    products as gathering the operator into the charge order.  The second
+    operator is Fortran-ordered, which the float view must not see."""
+    rng = np.random.default_rng([l, 31])
+    for _ in range(2 if l > 12 else 4):
+        w = WeightSeq(l, tuple(rng.uniform(*law, l)))
+        A = rand_operator(rng, l)
+        for op in (A, np.asfortranarray(A)):
+            assert np.array_equal(adjoint_wrt_form(op, w), permuted_adjoint(A, w))
+
+
 @pytest.mark.parametrize("l", range(2, 13))
 def test_charge_blocks_rebuild_the_gram_matrix_and_invert(l):
-    order, unorder, blocks = _charge_order(l)
-    assert np.array_equal(order[unorder], np.arange(l * l))
+    a, b = np.divmod(np.arange(l * l), l)
+    seen = np.zeros(l * l, dtype=int)
+    for s, rows in charge_slices(l):
+        assert np.all(a[rows] - b[rows] == s)
+        seen[rows] += 1
+    assert np.all(seen == 1)
     rng = np.random.default_rng([l, 25])
     for _ in range(4):
         w = rand_weights(rng, l)
         H, U = _charge_hankels(w)
         G = np.zeros((l * l, l * l))
-        for rows, s in blocks:
-            n = l - s
-            G[np.ix_(order[rows], order[rows])] = H[:n, s:]
+        for s, rows in charge_slices(l):
+            s, n = abs(s), l - abs(s)
+            G[rows, rows] = H[:n, s:]
             # H U = I to within the rounding of one product of the two
             err = np.abs(H[:n, s:] @ U[s:, :n] - np.eye(n))
             assert np.all(err <= n * np.finfo(float).eps * (np.abs(H[:n, s:]) @ np.abs(U[s:, :n])))
