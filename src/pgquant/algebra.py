@@ -230,6 +230,19 @@ def multiply(f: PGElement, g: PGElement, ctx: AlgebraCtx) -> PGElement:
     return PGElement(l, multiply_stack(f.coeffs[None], g.coeffs[None], ctx)[0])
 
 
+def sandwich(G: np.ndarray, a: int, b: int) -> np.ndarray:
+    """The products th^a * G[k] * thb^b of an (n, l, l) stack, 0 <= a, b < l:
+    each table moved down a rows and right b columns.
+
+    No q-phase arises: th^a joins the th exponents from the left and thb^b the
+    thb exponents from the right, so no thb is moved past a th.
+    """
+    l = G.shape[-1]
+    out = np.zeros(G.shape, dtype=complex)
+    out[:, a:, b:] = G[:, :l - a, :l - b]
+    return out
+
+
 def anti_wick_product(f: PGElement, g: PGElement) -> PGElement:
     """Exponent-adding product with no q factor; a plain truncated convolution.
     It is the algebra product at q = 1."""

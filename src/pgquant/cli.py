@@ -31,8 +31,9 @@ VERIFY_ERROR = 1
 # the largest order any command accepts; the index tables and the l^2 x l^2
 # matrices grow as l^4
 MAX_L = 32
-# options whose values may start with a minus sign ("-i", "-0.5+0.8i", "-th")
-_SIGNED_VALUE_OPTIONS = ("--q", "--symbol")
+# options whose values may start with a minus sign ("-i", "-0.5+0.8i", "-th"),
+# or whose negative values are rejected with their reason ("-1e-3,1,1")
+_SIGNED_VALUE_OPTIONS = ("--q", "--symbol", "--weights", "--tolerance")
 
 
 class ConfigError(Exception):
@@ -61,20 +62,17 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_weights(text: str, l: int, q: complex) -> WeightSeq:
-    if text in WEIGHT_PRESETS:
-        try:
-            return preset_weights(text, l, q)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
     try:
-        values = tuple(float(x) for x in text.split(","))
-    except ValueError:
-        raise ConfigError(f"cannot parse weights {text!r}")
-    if len(values) != l:
-        raise ConfigError(f"expected {l} weights, got {len(values)}")
-    if not all(0 < v < math.inf for v in values):
-        raise ConfigError("weights must be finite and strictly positive")
-    return WeightSeq(l, values)
+        if text in WEIGHT_PRESETS:
+            return preset_weights(text, l, q)
+        try:
+            values = tuple(float(x) for x in text.split(","))
+        except ValueError:
+            raise ConfigError(f"cannot parse weights {text!r}")
+        # WeightSeq rejects a wrong count and any weight not finite and > 0
+        return WeightSeq(l, values)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _finite(name: str, value):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraCtx, PGElement, gather, multiply_stack, product_support, scatter_sum
+from .algebra import AlgebraCtx, PGElement, gather, product_support, sandwich, scatter_sum
 from .forms import WeightSeq, form_stack
 
 MONOMIAL = "monomial"
@@ -196,11 +196,8 @@ def toeplitz_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx,
         return scatter_sum(cells, terms, l * l).reshape(n, l, l)
     if mode == "projection":
         # only the holomorphic rows of P and columns of M reach the block
-        # kept.  Column a of M is th^a * g: g's table moved down a rows, with
-        # no phase, since th^a holds no thb to move past g's th factors
-        M = np.zeros((n, l, l, l), dtype=complex)
-        for a in range(l):
-            M[:, a:, :, a] = G[:, :l - a, :]
+        # kept; column a of M is th^a * g
+        M = np.stack([sandwich(G, a, 0) for a in range(l)], axis=-1)
         # one l x l^2 by l^2 x l product per symbol, as for a single symbol
         return pk_operator(w)[::l] @ M.reshape(n, l * l, l)
     raise ValueError(f"unknown toeplitz mode {mode!r}")
@@ -258,15 +255,10 @@ def coherent_quantization_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx,
         sw = np.sqrt(w.arr())
         norm = np.outer(sw, sw)
         for m in range(l):
-            weight = w.w[l - 1 - m]
-            # th^m g thb^m inside the integral
-            core = multiply_stack(multiply_stack(PGElement.basis(l, m, 0).coeffs[None], G, ctx),
-                                  PGElement.basis(l, 0, m).coeffs[None], ctx)
-            # the integral of th^r core thb^s is core's coefficient at
-            # (l-1-r, l-1-s): th^r only raises the th exponents from the left
-            # and thb^s the thb exponents from the right, so no generator is
-            # reordered and no q-phase arises
-            A += weight * core[:, ::-1, ::-1] / norm
+            # th^m g thb^m inside the integral; by the same shift rule, the
+            # integral of th^r core thb^s is core's coefficient at (l-1-r, l-1-s)
+            core = sandwich(G, m, m)
+            A += w.w[l - 1 - m] * core[:, ::-1, ::-1] / norm
         return A
     raise ValueError(f"unknown coherent mode {mode!r}")
 
@@ -279,7 +271,7 @@ def coherent_quantization(g: PGElement, w: WeightSeq, ctx: AlgebraCtx,
     mode="closed": each symbol monomial th^i thb^j sends e_a to
     w_{j+a} / (w_{j-i+a} w_a)^{1/2} e_{j-i+a} when both j+a and j-i+a are in
     range.  mode="berezin" evaluates the defining double integral term by
-    term through the algebra product.
+    term; each product th^m g thb^m in it is g's table shifted by sandwich.
     """
     if not (g.l == w.l == ctx.l):
         raise ValueError("order mismatch")
@@ -291,20 +283,19 @@ def toeplitz_flat_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx) -> np.ndar
     l = ctx.l
     n = len(G)
     sw = np.sqrt(w.arr())
-    # row a holds the conjugated orthonormal element w_a^{-1/2} thb^a
-    basis = np.zeros((l, l, l), dtype=complex)
-    basis[np.arange(l), 0, np.arange(l)] = 1.0 / sw
-    # one product and one projection per (symbol, basis element) pair
-    products = multiply_stack(np.repeat(G, l, axis=0), np.tile(basis, (n, 1, 1)), ctx)
-    img = project_pk_bar_stack(products, w)[:, 0, :].reshape(n, l, l)
+    # table k*l + a is g_k times the conjugated orthonormal element
+    # w_a^{-1/2} thb^a; one projection per (symbol, basis element) pair
+    products = np.stack([sandwich(G, 0, a) * (1.0 / sw[a]) for a in range(l)], axis=1)
+    img = project_pk_bar_stack(products.reshape(n * l, l, l), w)[:, 0, :].reshape(n, l, l)
     # thb^b coefficient scaled back to the conjugated orthonormal basis; the
     # image of basis element a is column a
     return np.swapaxes(img * sw, 1, 2)
 
 
 def toeplitz_flat(g: PGElement, w: WeightSeq, ctx: AlgebraCtx) -> np.ndarray:
-    """Left multiplication followed by the anti-holomorphic projection,
-    expressed on the conjugated orthonormal basis w_a^{-1/2} thb^a."""
+    """Left multiplication by g followed by the anti-holomorphic projection, on
+    the conjugated orthonormal basis w_a^{-1/2} thb^a; the product g * thb^a
+    is g's table moved right a columns."""
     if not (g.l == w.l == ctx.l):
         raise ValueError("order mismatch")
     return toeplitz_flat_stack(g.coeffs[None], w, ctx)[0]

@@ -70,23 +70,16 @@ _THB_POWERS = (Ellipsis, slice(None), slice(1, None))
 _TH_POWERS = (Ellipsis, slice(1, None), slice(None))
 
 
-def random_elements(rng: np.random.Generator, shape: tuple, l: int, holomorphic: bool = False,
-                    anti_holomorphic: bool = False) -> np.ndarray:
+def random_elements(rng: np.random.Generator, shape: tuple, l: int) -> np.ndarray:
     """A (*shape, l, l) stack of random coefficient tables from one generator
     call: table k in C order is the table of the k-th of successive
     random_element calls, real parts drawn before imaginary ones."""
     z = rng.standard_normal((*shape, 2, l, l))
-    tables = z[..., 0, :, :] + 1j * z[..., 1, :, :]
-    if holomorphic:
-        tables[_THB_POWERS] = 0
-    if anti_holomorphic:
-        tables[_TH_POWERS] = 0
-    return tables
+    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
 
 
-def random_element(rng: np.random.Generator, l: int, holomorphic: bool = False,
-                   anti_holomorphic: bool = False) -> PGElement:
-    return PGElement(l, random_elements(rng, (), l, holomorphic, anti_holomorphic))
+def random_element(rng: np.random.Generator, l: int) -> PGElement:
+    return PGElement(l, random_elements(rng, (), l))
 
 
 def _max_abs(x) -> float:
@@ -224,7 +217,9 @@ def check_star_criterion(ctx, w, rng, tol):
 
 
 def check_holomorphic_conjugation(ctx, w, rng, tol):
-    f, g = np.moveaxis(random_elements(rng, (10, 2), ctx.l, holomorphic=True), 1, 0)
+    samples = random_elements(rng, (10, 2), ctx.l)
+    samples[_THB_POWERS] = 0
+    f, g = np.moveaxis(samples, 1, 0)
     res = conjugate_stack(multiply_stack(f, g, ctx)) - multiply_stack(
         conjugate_stack(f), conjugate_stack(g), ctx)
     return _max_abs_each(res)

@@ -144,6 +144,17 @@ class TestMatrixCommand:
         assert code == 2
         assert "strictly positive" in err
 
+    @pytest.mark.parametrize("command,weights,reason", [
+        ("gram", "1,2", "expected 3 weights, got 2"),
+        ("gram", "1,0,1", "weights must be finite and strictly positive"),
+        ("gram", "1,nan,1", "weights must be finite and strictly positive"),
+        ("gram", "1,inf,2", "weights must be finite and strictly positive"),
+        ("gram", "1,2,x", "cannot parse weights '1,2,x'"),
+        ("verify", "1,2", "expected 3 weights, got 2"),
+    ])
+    def test_bad_weight_lists_name_their_reason(self, capsys, command, weights, reason):
+        assert run(capsys, command, "--l", "3", "--weights", weights) == (2, "", f"error: {reason}\n")
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("argv", [
@@ -198,6 +209,18 @@ class TestSignedValues:
         code, out, err = run(capsys, *rest, option, value)
         assert (code, err) == (0, "")
         assert run(capsys, *rest, f"{option}={value}") == (code, out, err)
+
+    @pytest.mark.parametrize("option,value,rest,reason", [
+        ("--weights", "-1e-3,1,1", ("gram", "--l", "3"),
+         "weights must be finite and strictly positive"),
+        ("--tolerance", "-1e-3", ("verify", "--l", "2"),
+         "--tolerance must be finite and > 0, got -0.001"),
+    ])
+    def test_rejected_negative_values_give_their_reason_in_both_forms(
+            self, capsys, option, value, rest, reason):
+        want = (2, "", f"error: {reason}\n")
+        assert run(capsys, *rest, option, value) == want
+        assert run(capsys, *rest, f"{option}={value}") == want
 
     def test_a_following_option_is_not_taken_as_the_value(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,9 +3,10 @@
 The fast kernels (multiply, mult_operator, the closed Toeplitz map, the berezin
 route, the closed form, the Gram matrix, the anti-Wick product, the kernel
 projections and P_K, the closed coherent map, the definitional form, the
-charge-graded form adjoint) gather and scatter over per-order index tables or
-strided slices; these tests compare them with their definitions, written as plain loops or as
-an independent route, also at orders the verify grid does not reach.  Where
+charge-graded form adjoint, the generator-power shift sandwich) gather and
+scatter over per-order index tables or strided slices; these tests compare
+them with their definitions, written as plain loops or as an independent
+route, also at orders the verify grid does not reach.  Where
 the loop is the route the table replaced, the comparison is exact: the table
 sums each output in the loop's order, so not a bit may move.  Each kernel's
 stacked form, on a stack of n tables, must equal n single calls bit for bit,
@@ -31,7 +32,7 @@ from pgquant import (MONOMIAL, ORTHONORMAL, AlgebraCtx, Const, Gen, OperatorBH,
                      from_free_expr, gram_matrix, mult_operator, multiply,
                      normal_order, pk_operator, project_pk, project_pk_bar,
                      toeplitz, toeplitz_adjoint, toeplitz_flat)
-from pgquant.algebra import conjugate_stack, multiply_stack, scatter_sum
+from pgquant.algebra import conjugate_stack, multiply_stack, sandwich, scatter_sum
 from pgquant.forms import _charge_hankels, form_stack
 from pgquant.quantization import (coherent_quantization_stack, convert_basis_stack,
                                   project_pk_bar_stack, project_pk_stack,
@@ -551,26 +552,67 @@ def loop_toeplitz_flat(g, w, ctx):
 
 
 @pytest.mark.parametrize("q", GRID_Q_VALUES)
-@pytest.mark.parametrize("l", (2, 3, 6, 9, 13))
+@pytest.mark.parametrize("l", (2, 3, 6, 9, 13, 16, 24))
 def test_toeplitz_flat_equals_its_column_loop(l, q):
+    """Bit for bit, signed zeros included: tobytes tells -0.0 from 0.0."""
     ctx = AlgebraCtx(l, q)
     rng = np.random.default_rng([l, 28])
     for _ in range(3):
         w = rand_weights(rng, l)
         g = rand_sparse_element(rng, l)
-        assert np.array_equal(toeplitz_flat(g, w, ctx), loop_toeplitz_flat(g, w, ctx))
+        assert toeplitz_flat(g, w, ctx).tobytes() == loop_toeplitz_flat(g, w, ctx).tobytes()
+
+
+# --- products with a generator power: sandwich moves the table ----------------
+
+@pytest.mark.parametrize("q", GRID_Q_VALUES)
+@pytest.mark.parametrize("l", range(2, 8))
+def test_sandwich_is_the_product_with_generator_powers(l, q):
+    ctx = AlgebraCtx(l, q)
+    G = sparse_stack(np.random.default_rng([l, 31]), l, 3)
+    for a in range(l):
+        for b in range(l):
+            want = multiply_stack(multiply_stack(PGElement.basis(l, a, 0).coeffs[None], G, ctx),
+                                  PGElement.basis(l, 0, b).coeffs[None], ctx)
+            assert np.array_equal(sandwich(G, a, b), want)
+
+
+def product_berezin(G, w, ctx):
+    """The berezin route as it was written with the algebra product: each
+    th^m g thb^m by two multiply_stack calls."""
+    l = ctx.l
+    A = np.zeros((len(G), l, l), dtype=complex)
+    sw = np.sqrt(w.arr())
+    norm = np.outer(sw, sw)
+    for m in range(l):
+        core = multiply_stack(multiply_stack(PGElement.basis(l, m, 0).coeffs[None], G, ctx),
+                              PGElement.basis(l, 0, m).coeffs[None], ctx)
+        A += w.w[l - 1 - m] * core[:, ::-1, ::-1] / norm
+    return A
+
+
+@pytest.mark.parametrize("n", (1, 5))
+@pytest.mark.parametrize("q", GRID_Q_VALUES)
+@pytest.mark.parametrize("l", (*range(2, 13), 16, 24))
+def test_berezin_route_equals_its_product_route(l, q, n):
+    """Bit for bit, signed zeros included: where sandwich copies a -0.0 the
+    products' scatter gives 0.0, and the sum into the result must hide it."""
+    ctx = AlgebraCtx(l, q)
+    rng = np.random.default_rng([l, n, 32])
+    w = rand_weights(rng, l)
+    G = sparse_stack(rng, l, n)
+    got = coherent_quantization_stack(G, w, ctx, "berezin")
+    assert got.tobytes() == product_berezin(G, w, ctx).tobytes()
 
 
 # --- stacked draws: one generator call gives the samples of a loop -------------
 
-@pytest.mark.parametrize("l", (2, 3, 6))
-@pytest.mark.parametrize("mask", [{}, {"holomorphic": True}, {"anti_holomorphic": True}],
-                         ids=["dense", "holomorphic", "anti-holomorphic"])
-def test_stacked_draw_equals_successive_random_elements(l, mask):
+@pytest.mark.parametrize("l", (2, 3, 6), ids=lambda l: f"dense-{l}")
+def test_stacked_draw_equals_successive_random_elements(l):
     one, loop = np.random.default_rng([l, 29]), np.random.default_rng([l, 29])
-    stack = random_elements(one, (4, 3), l, **mask)
+    stack = random_elements(one, (4, 3), l)
     assert stack.shape == (4, 3, l, l)
-    want = [random_element(loop, l, **mask).coeffs for _ in range(12)]
+    want = [random_element(loop, l).coeffs for _ in range(12)]
     assert np.array_equal(stack.reshape(12, l, l), want)
     # both generators are left in the same state
     assert one.standard_normal() == loop.standard_normal()
