@@ -195,9 +195,12 @@ def toeplitz_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx,
         terms = gather(G, symbol) * (ws[num] / ws[den])[None]
         return scatter_sum(cells, terms, l * l).reshape(n, l, l)
     if mode == "projection":
-        # only the holomorphic rows of P and columns of M reach the block
-        # kept; column a of M is th^a * g
-        M = np.stack([sandwich(G, a, 0) for a in range(l)], axis=-1)
+        # only the holomorphic rows of P and columns of M reach the block kept;
+        # column a of M, th^a * g, is g moved down a rows: no thb passes a th,
+        # so no q-phase arises
+        M = np.zeros((n, l, l, l), dtype=complex)
+        for a in range(l):
+            M[:, a:, :, a] = G[:, :l - a]
         # one l x l^2 by l^2 x l product per symbol, as for a single symbol
         return pk_operator(w)[::l] @ M.reshape(n, l * l, l)
     raise ValueError(f"unknown toeplitz mode {mode!r}")
@@ -330,11 +333,18 @@ def ladder_set(w: WeightSeq, ctx: AlgebraCtx) -> LadderSet:
     return LadderSet(creation, annihilation, number, tuple(ints), tuple(facts))
 
 
+def _singular_values(M: np.ndarray) -> np.ndarray:
+    """The singular values of M, largest first.  For a matrix holding inf or
+    NaN, LAPACK may print to stdout and return NaN, so the SVD is not run."""
+    if not np.isfinite(M).all():
+        raise np.linalg.LinAlgError("SVD did not converge")
+    return np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
+
+
 def operator_norm_bh(A: OperatorBH, w: WeightSeq) -> float:
     """Operator norm for the weighted inner product: the top singular value of
     the orthonormal-basis matrix."""
-    on = convert_basis(A, w, ORTHONORMAL)
-    return float(np.linalg.svd(on.matrix, compute_uv=False)[0])
+    return float(_singular_values(convert_basis(A, w, ORTHONORMAL).matrix)[0])
 
 
 # matrix_rank counts the singular values above this multiple of the largest
@@ -343,7 +353,7 @@ RANK_THRESHOLD = 1e-9
 
 def matrix_rank(M: np.ndarray) -> int:
     """Rank by singular-value thresholding at RANK_THRESHOLD * sigma_max."""
-    s = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
+    s = _singular_values(M)
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.sum(s > RANK_THRESHOLD * s[0]))

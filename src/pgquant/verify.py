@@ -10,8 +10,8 @@ run_point alone decides the record, with each check under
 np.errstate(all="ignore"): the residual is the largest measured (0 if none;
 inf if any is NaN or infinite) and passes below the tolerance.  A raised
 failure is a "fail" with residual 1.0 and its note, an expected one an
-EXPECTED_FAIL with residual 0; an SVD that does not converge, which numpy
-reports for a matrix holding inf or NaN, is a "fail" with residual inf.
+EXPECTED_FAIL with residual 0; an SVD of a matrix holding inf or NaN, or a
+magnitude beyond the float range, is a "fail" with residual inf.
 
 The checks draw their random samples as stacks, from one generator call per
 stack, and evaluate them through the stacked kernels: the samples, and the
@@ -27,13 +27,12 @@ import numpy as np
 
 from . import algebra as alg
 from .algebra import AlgebraCtx, PGElement, conjugate_stack, multiply_stack
-from .forms import (WeightSeq, adjoint_wrt_form, form, form_stack, gram_matrix, orthonormal_phi,
-                    preset_weights)
+from .forms import WeightSeq, adjoint_wrt_form, form_stack, gram_matrix, preset_weights
 from .quantization import (ORTHONORMAL, coherent_quantization_stack, convert_basis_stack,
                            ladder_set, matrix_rank, mult_operator, operator_norm_bh, pk_operator,
                            project_pk, project_pk_stack, span_rank, toeplitz,
                            toeplitz_adjoint, toeplitz_adjoint_stack, toeplitz_flat_stack,
-                           toeplitz_orthonormal, toeplitz_stack)
+                           toeplitz_stack)
 
 GRID_LS = (2, 3, 4, 5, 6)
 GRID_QS = (
@@ -268,9 +267,8 @@ def check_form_mode_agreement(ctx, w, rng, tol):
 
 def check_gram_properties(ctx, w, rng, tol):
     G = gram_matrix(w)
-    sub = np.array([[form(PGElement.basis(w.l, a, 0), PGElement.basis(w.l, c, 0), w)
-                     for c in range(w.l)] for a in range(w.l)])
-    if matrix_rank(G) != w.l * w.l or not np.all(np.linalg.eigvalsh(np.real(sub)) > 0):
+    # the form on the holomorphic monomials: rows and columns a*l of th^a
+    if matrix_rank(G) != w.l * w.l or not np.all(np.linalg.eigvalsh(G[::w.l, ::w.l]) > 0):
         raise CheckFailure()
     return [_max_abs(G - G.T)]
 
@@ -291,8 +289,11 @@ def check_adjoint_wrt_form(ctx, w, rng, tol):
 
 
 def check_orthonormal_basis(ctx, w, rng, tol):
-    return [abs(form(orthonormal_phi(j, w), orthonormal_phi(k, w), w) - (1.0 if j == k else 0.0))
-            for j in range(w.l) for k in range(w.l)]
+    l = w.l
+    # phi_j = w_j^{-1/2} th^j, and every pair (phi_j, phi_k), (j, k) row-major
+    phi = _basis_symbols(l)[::l] / np.sqrt(w.arr())[:, None, None]
+    pairs = form_stack(np.repeat(phi, l, axis=0), np.tile(phi, (l, 1, 1)), w)
+    return _abs_each(pairs - np.eye(l).ravel())
 
 
 # --- quantization ----------------------------------------------------------
@@ -354,23 +355,16 @@ def check_toeplitz_iso_rank(ctx, w, rng, tol):
 
 def check_column_structure(ctx, w, rng, tol):
     l = ctx.l
-    residuals = []
-    for i in range(l):
-        for j in range(l):
-            M = toeplitz(PGElement.basis(l, i, j), w, ctx).matrix
-            Mon = toeplitz_orthonormal(PGElement.basis(l, i, j), w, ctx).matrix
-            for a in range(l):
-                col = M[:, a].copy()
-                ocol = Mon[:, a].copy()
-                if 0 <= i + a < l and 0 <= i + a - j < l:
-                    expect = w.w[i + a] / w.w[i + a - j]
-                    residuals.append(abs(col[i + a - j] - expect))
-                    col[i + a - j] = 0
-                    oexpect = w.w[a + i] / np.sqrt(w.w[a] * w.w[a + i - j])
-                    residuals.append(abs(ocol[i + a - j] - oexpect))
-                    ocol[i + a - j] = 0
-                residuals += [_max_abs(col), _max_abs(ocol)]
-    return residuals
+    M = toeplitz_stack(_basis_symbols(l), w, ctx)
+    Mon = convert_basis_stack(M, w, ORTHONORMAL)
+    # the column formula, entry by entry: T(th^i thb^j) holds w_{i+a}/w_{i+a-j}
+    # at row i+a-j of column a, and nothing else
+    expect, oexpect = np.zeros_like(M), np.zeros_like(M)
+    for i, j, a in itertools.product(range(l), repeat=3):
+        if i + a < l and i + a - j >= 0:
+            expect[i * l + j, i + a - j, a] = w.w[i + a] / w.w[i + a - j]
+            oexpect[i * l + j, i + a - j, a] = w.w[a + i] / np.sqrt(w.w[a] * w.w[a + i - j])
+    return _max_abs_each(M - expect) + _max_abs_each(Mon - oexpect)
 
 
 def check_adjoint_symbol_rule(ctx, w, rng, tol):
@@ -405,21 +399,20 @@ def check_multiplicativity(ctx, w, rng, tol):
                        _relative(_max_abs_each(Tb @ Ta - Tab), scales))
 
 
-def check_anti_wick_factorization(ctx, w, rng, tol):
-    l = ctx.l
+def _anti_wick_words(w, ctx) -> np.ndarray:
+    """Every annihilation^j creation^i, (i, j) row-major as in _basis_symbols."""
     lad = ladder_set(w, ctx)
-    return [_max_abs(toeplitz(PGElement.basis(l, i, j), w, ctx).matrix
-                     - np.linalg.matrix_power(lad.annihilation.matrix, j)
-                     @ np.linalg.matrix_power(lad.creation.matrix, i))
-            for i in range(l) for j in range(l)]
+    A, C = (np.array([np.linalg.matrix_power(op.matrix, k) for k in range(ctx.l)])
+            for op in (lad.annihilation, lad.creation))
+    return (A[None] @ C[:, None]).reshape(-1, ctx.l, ctx.l)
+
+
+def check_anti_wick_factorization(ctx, w, rng, tol):
+    return _max_abs_each(toeplitz_stack(_basis_symbols(ctx.l), w, ctx) - _anti_wick_words(w, ctx))
 
 
 def check_operator_basis_rank(ctx, w, rng, tol):
-    l = ctx.l
-    lad = ladder_set(w, ctx)
-    if span_rank(np.linalg.matrix_power(lad.annihilation.matrix, j)
-                 @ np.linalg.matrix_power(lad.creation.matrix, i)
-                 for i in range(l) for j in range(l)) != l * l:
+    if span_rank(_anti_wick_words(w, ctx)) != ctx.l * ctx.l:
         raise CheckFailure()
     return []
 
@@ -487,16 +480,12 @@ def check_number_operator(ctx, w, rng, tol):
 
 def check_diagonal_symbols(ctx, w, rng, tol):
     l = ctx.l
-    residuals = []
-    for i in range(l):
-        M = toeplitz(PGElement.basis(l, i, i), w, ctx).matrix
-        residuals.append(_max_abs(M - np.diag(np.diag(M))))
-        diag = np.real(np.diag(M))
-        residuals += [abs(diag[a] - (w.w[i + a] / w.w[a] if i + a < l else 0.0))
-                      for a in range(l)]
-        if matrix_rank(M) != l - i:
-            raise CheckFailure()
-    return residuals
+    M = toeplitz_stack(_basis_symbols(l)[::l + 1], w, ctx)  # every T(th^i thb^i)
+    diag = np.real(np.diagonal(M, axis1=1, axis2=2))
+    expect = [[w.w[i + a] / w.w[a] if i + a < l else 0.0 for a in range(l)] for i in range(l)]
+    if any(matrix_rank(m) != l - i for i, m in enumerate(M)):
+        raise CheckFailure()
+    return _max_abs_each(M * (1 - np.eye(l))) + np.abs(diag - expect).ravel().tolist()
 
 
 def check_ladder_facts(ctx, w, rng, tol):
@@ -592,8 +581,8 @@ def run_point(l: int, q_id: str, q: complex, w_id: str, w: WeightSeq,
         except CheckFailure as found:
             residual, note = (0.0, "") if found.expected else (1.0, found.note)
             status = EXPECTED_FAIL if found.expected else "fail"
-        except np.linalg.LinAlgError as failed:
-            # an SVD met a matrix that overflowed: a measurement that is not finite
+        except (np.linalg.LinAlgError, OverflowError) as failed:
+            # a measurement that is not finite
             residual, status, note = math.inf, "fail", str(failed)
         else:
             residuals = np.asarray(measured, dtype=float)

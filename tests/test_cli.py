@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -271,9 +272,13 @@ class TestUsageErrorsInAFreshProcess:
         ("matrix", "--l", "2", "--q", "1", "--weights", "1,1",
          "--which", "toeplitz", "--symbol", "1e300*1e300*th"),
         ("spectrum", "--l", "2", "--q", "1", "--weights", "1e-300,1e300"),
+        # the kernel projection holds inf: LAPACK once printed to stdout on it
+        ("verify", "--l", "3", "--q", "1", "--weights",
+         "3.4488931673893593e-181,4.539171560614011e-244,1.4763542313330543e+300",
+         "--format", "json"),
     ], ids=["deep-parentheses", "tiny-q", "infinite-q", "gram-determinant-overflow",
             "verify-huge-weight", "verify-tiny-weight", "pk-overflow", "toeplitz-overflow",
-            "symbol-overflow", "spectrum-overflow"])
+            "symbol-overflow", "spectrum-overflow", "verify-svd-of-inf"])
     def test_exit_2_with_one_error_line(self, argv):
         proc = run_fresh(*argv)
         assert proc.returncode == 2
@@ -311,6 +316,76 @@ class TestFiniteOutputGate:
                            "--which", "pk")
         assert code == 0
         assert json.loads(out)["rows"][0][3] == [1e200, 0.0]
+
+
+LOG_UNIFORM = st.floats(min_value=-308.0, max_value=308.0).map(lambda e: 10.0 ** e)
+
+
+def log_uniform_weights(l):
+    """l weights drawn log-uniform over 1e-308..1e308, about one in four of
+    them subnormal instead."""
+    subnormal = st.floats(min_value=5e-324, max_value=2e-308)
+    weight = st.one_of(LOG_UNIFORM, LOG_UNIFORM, LOG_UNIFORM, subnormal)
+    return st.lists(weight, min_size=l, max_size=l).map(
+        lambda ws: ",".join(repr(x) for x in ws))
+
+
+SYMBOLS = st.one_of(
+    st.sampled_from(["1e300*th*thb", "(1e308+thb)^2", "1e300*1e300*th", "th", "thb*th"]),
+    st.lists(st.tuples(LOG_UNIFORM, st.sampled_from(["1", "th", "thb", "th*thb", "thb^2",
+                                                      "q*th"])),
+             min_size=1, max_size=3).map(
+        lambda terms: "+".join(f"{c!r}*{mono}" for c, mono in terms)))
+
+
+@st.composite
+def any_command(draw):
+    command = draw(st.sampled_from(["matrix", "gram", "spectrum", "verify"]))
+    if command == "verify":
+        l = draw(st.integers(2, 3))
+        return ["verify", "--l", str(l), "--q", "1", "--weights",
+                draw(log_uniform_weights(l)), "--format", "json"]
+    l = draw(st.integers(2, 5))
+    q = draw(st.sampled_from(["1", "-1", "0.5", "2", "0.5+0.8660254037844386i"]))
+    argv = [command, "--l", str(l), "--q", q, "--weights", draw(log_uniform_weights(l)),
+            "--format", "json"]
+    if command == "matrix":
+        which = draw(st.sampled_from(["toeplitz", "toeplitz-on", "coherent", "flat", "pk",
+                                      "mult-left", "mult-right"]))
+        argv += ["--which", which, f"--symbol={draw(SYMBOLS)}"]
+    return argv
+
+
+def finite_numbers_only(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, dict):
+        return all(map(finite_numbers_only, value.values()))
+    if isinstance(value, list):
+        return all(map(finite_numbers_only, value))
+    return True
+
+
+class TestCliContract:
+    """Every argv exits 0, 1 or 2.  On 0 or 1, stdout is JSON holding only
+    finite numbers; on 2, stdout is empty and stderr one error line.  This
+    capture cannot see output that LAPACK writes from C; the fresh-process
+    tests above cover that."""
+
+    @given(argv=any_command())
+    @settings(max_examples=40, deadline=None)
+    def test_exit_code_and_output(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
+            payload = json.loads(out.getvalue(), parse_constant=lambda name: math.nan)
+            assert finite_numbers_only(payload)
 
 
 class TestGramCommand:

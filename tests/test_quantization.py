@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pgquant import (AlgebraCtx, MONOMIAL, ORTHONORMAL, PGElement, WeightSeq,
+from pgquant import (AlgebraCtx, MONOMIAL, ORTHONORMAL, OperatorBH, PGElement, WeightSeq,
                      adjoint_wrt_form, aw_index, coherent_quantization,
                      conjugate, convert_basis, form, ladder_set, matrix_rank,
                      mult_operator, multiply, operator_norm_bh, pk_operator,
@@ -311,7 +311,6 @@ class TestNormsAndRanks:
         assert operator_norm_bh(lad.creation, W112) == pytest.approx(np.sqrt(2.0))
 
     def test_identity_norm(self):
-        from pgquant import OperatorBH
         A = OperatorBH(2, np.eye(2), MONOMIAL)
         assert operator_norm_bh(A, W12) == pytest.approx(1.0)
 
@@ -339,6 +338,23 @@ class TestNormsAndRanks:
     def test_wick_probe_runs(self):
         rank = wick_rank_probe(W112, CTX3)
         assert 1 <= rank <= 9
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+    def test_a_matrix_that_is_not_finite_never_reaches_the_svd(self, monkeypatch, bad):
+        # LAPACK would print to standard output and return NaN singular values
+        def svd(*args, **kwargs):
+            raise AssertionError("np.linalg.svd was called")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        M = np.eye(3, dtype=complex)
+        M[1, 2] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            matrix_rank(M)
+        # the basis change turns inf into NaN, as it does for the callers,
+        # which compute under np.errstate(all="ignore")
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError,
+                                                      match="SVD did not converge"):
+            operator_norm_bh(OperatorBH(3, M, MONOMIAL), W112)
 
 
 class TestCompressionIdentity:

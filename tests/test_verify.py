@@ -4,7 +4,9 @@ A check returns its residuals or raises CheckFailure; these tests pin how
 run_point reduces either to (residual, status, note), including residuals that
 are NaN or infinite, and that every check keeps that contract.  The checks
 that draw their samples as stacks are pinned to the per-sample loops they
-replaced: the same residuals, bit for bit.
+replaced: the same residuals, bit for bit.  The checks that make one stacked
+call per family of basis monomials are pinned to the per-monomial loops they
+replaced: the same record.
 """
 import itertools
 import math
@@ -15,9 +17,9 @@ import pytest
 from pgquant import algebra as alg
 from pgquant import verify as verify_mod
 from pgquant.algebra import PGElement
-from pgquant.forms import WeightSeq, adjoint_wrt_form, form
-from pgquant.quantization import (coherent_quantization, matrix_rank, mult_operator,
-                                  pk_operator, project_pk, span_rank, toeplitz,
+from pgquant.forms import WeightSeq, adjoint_wrt_form, form, gram_matrix, orthonormal_phi
+from pgquant.quantization import (coherent_quantization, ladder_set, matrix_rank,
+                                  mult_operator, pk_operator, project_pk, span_rank, toeplitz,
                                   toeplitz_adjoint, toeplitz_flat, toeplitz_orthonormal)
 from pgquant.verify import EXPECTED_FAIL, CheckFailure
 
@@ -82,6 +84,13 @@ def test_overflowing_weights_fail_without_warnings(name, l):
     # NaN; numpy warnings are errors under this suite's configuration
     w = WeightSeq(l, (1.0, 1e308) + (1.0,) * (l - 2))
     [r] = point(l, w=w, checks=(name,))
+    assert (r.residual, r.status) == (math.inf, "fail")
+
+
+@pytest.mark.parametrize("name", ["adjoint_wrt_form", "compression_identity"])
+def test_a_magnitude_beyond_the_float_range_fails_as_inf(name):
+    # Python's complex abs raises OverflowError where numpy's gives inf
+    [r] = point(2, w=WeightSeq(2, (1e308, 1.0)), checks=(name,))
     assert (r.residual, r.status) == (math.inf, "fail")
 
 
@@ -297,6 +306,80 @@ def loop_quantization_equivalences(ctx, w, rng, tol):
     return residuals
 
 
+# --- each basis-family check against the per-monomial loop it replaced -------
+# One kernel call per basis monomial or pair.  A residual list here is shaped
+# by its loop, so what must agree is the record run_point makes of it.
+
+def loop_gram_properties(ctx, w, rng, tol):
+    G = gram_matrix(w)
+    sub = np.array([[form(PGElement.basis(w.l, a, 0), PGElement.basis(w.l, c, 0), w)
+                     for c in range(w.l)] for a in range(w.l)])
+    if matrix_rank(G) != w.l * w.l or not np.all(np.linalg.eigvalsh(np.real(sub)) > 0):
+        raise CheckFailure()
+    return [max_abs(G - G.T)]
+
+
+def loop_orthonormal_basis(ctx, w, rng, tol):
+    return [abs(form(orthonormal_phi(j, w), orthonormal_phi(k, w), w) - (1.0 if j == k else 0.0))
+            for j in range(w.l) for k in range(w.l)]
+
+
+def loop_column_structure(ctx, w, rng, tol):
+    l = ctx.l
+    residuals = []
+    for i in range(l):
+        for j in range(l):
+            M = toeplitz(PGElement.basis(l, i, j), w, ctx).matrix
+            Mon = toeplitz_orthonormal(PGElement.basis(l, i, j), w, ctx).matrix
+            for a in range(l):
+                col = M[:, a].copy()
+                ocol = Mon[:, a].copy()
+                if 0 <= i + a < l and 0 <= i + a - j < l:
+                    expect = w.w[i + a] / w.w[i + a - j]
+                    residuals.append(abs(col[i + a - j] - expect))
+                    col[i + a - j] = 0
+                    oexpect = w.w[a + i] / np.sqrt(w.w[a] * w.w[a + i - j])
+                    residuals.append(abs(ocol[i + a - j] - oexpect))
+                    ocol[i + a - j] = 0
+                residuals += [max_abs(col), max_abs(ocol)]
+    return residuals
+
+
+def loop_anti_wick_factorization(ctx, w, rng, tol):
+    l = ctx.l
+    lad = ladder_set(w, ctx)
+    return [max_abs(toeplitz(PGElement.basis(l, i, j), w, ctx).matrix
+                    - np.linalg.matrix_power(lad.annihilation.matrix, j)
+                    @ np.linalg.matrix_power(lad.creation.matrix, i))
+            for i in range(l) for j in range(l)]
+
+
+def loop_operator_basis_rank(ctx, w, rng, tol):
+    l = ctx.l
+    lad = ladder_set(w, ctx)
+    if span_rank(np.linalg.matrix_power(lad.annihilation.matrix, j)
+                 @ np.linalg.matrix_power(lad.creation.matrix, i)
+                 for i in range(l) for j in range(l)) != l * l:
+        raise CheckFailure()
+    return []
+
+
+def loop_diagonal_symbols(ctx, w, rng, tol):
+    l = ctx.l
+    residuals = []
+    for i in range(l):
+        M = toeplitz(PGElement.basis(l, i, i), w, ctx).matrix
+        residuals.append(max_abs(M - np.diag(np.diag(M))))
+        diag = np.real(np.diag(M))
+        residuals += [abs(diag[a] - (w.w[i + a] / w.w[a] if i + a < l else 0.0))
+                      for a in range(l)]
+        if matrix_rank(M) != l - i:
+            raise CheckFailure()
+    return residuals
+
+
+BASIS_FAMILY_LOOPS = ("gram_properties", "orthonormal_basis", "column_structure",
+                      "anti_wick_factorization", "operator_basis_rank", "diagonal_symbols")
 LOOPS = {name[len("loop_"):]: fn for name, fn in globals().items() if name.startswith("loop_")}
 
 
@@ -309,11 +392,12 @@ def outcome(fn, ctx, w, seed):
 
 
 def test_every_batched_check_has_its_loop():
-    assert set(LOOPS) <= set(verify_mod.CHECK_NAMES) and len(LOOPS) == 13
+    assert set(LOOPS) <= set(verify_mod.CHECK_NAMES) and len(LOOPS) == 19
+    assert set(BASIS_FAMILY_LOOPS) <= set(LOOPS)
 
 
 @pytest.mark.parametrize("l", [2, 4, 6])
-@pytest.mark.parametrize("name", sorted(LOOPS))
+@pytest.mark.parametrize("name", sorted(set(LOOPS) - set(BASIS_FAMILY_LOOPS)))
 def test_batched_check_returns_the_residuals_of_its_loop(name, l):
     """Exactly, at every grid q and for two weight families."""
     check = dict(verify_mod.CHECKS)[name]
@@ -324,3 +408,22 @@ def test_batched_check_returns_the_residuals_of_its_loop(name, l):
             seed = [7, l, sum(map(ord, q_id)), len(w_id)]
             got = outcome(check, ctx, w, seed)
             assert got == outcome(LOOPS[name], ctx, w, seed), (q_id, w_id)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("name", BASIS_FAMILY_LOOPS)
+def test_basis_family_check_keeps_the_record_of_its_loop(monkeypatch, name, l):
+    """The largest residual bit for bit, the status and the note, or the
+    failure raised, at every grid q and for three weight families."""
+    def records():
+        out = []
+        for q_id, q in verify_mod.GRID_QS:
+            for w_id in ("ones", "rand2", "factorial"):
+                w = verify_mod.grid_weights(w_id, l)
+                [r] = verify_mod.run_point(l, q_id, q, w_id, w, checks=(name,))
+                out.append((q_id, w_id, r.residual.hex(), r.status, r.note))
+        return out
+
+    batched = records()
+    with_check(monkeypatch, name, LOOPS[name])
+    assert batched == records()
