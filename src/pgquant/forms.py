@@ -119,7 +119,7 @@ def _charge_hankels(w: WeightSeq):
     t = w.arr()[::-1]
     u = [1.0 / t[0]]
     for m in range(1, l):
-        u.append(-math.fsum((t[1:m + 1] * u[::-1]).tolist()) / t[0])
+        u.append(-_fsum_rows([t[1:m + 1] * u[::-1]])[0] / t[0])
     k = np.add.outer(np.arange(l), np.arange(l))
     H = np.where(k < l, w.arr()[np.minimum(k, l - 1)], 0.0)
     U = np.where(k >= l - 1, np.array(u)[np.maximum(k - (l - 1), 0)], 0.0)

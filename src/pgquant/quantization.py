@@ -195,14 +195,11 @@ def toeplitz_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx,
         terms = gather(G, symbol) * (ws[num] / ws[den])[None]
         return scatter_sum(cells, terms, l * l).reshape(n, l, l)
     if mode == "projection":
-        # only the holomorphic rows of P and columns of M reach the block kept;
-        # column a of M, th^a * g, is g moved down a rows: no thb passes a th,
-        # so no q-phase arises
-        M = np.zeros((n, l, l, l), dtype=complex)
-        for a in range(l):
-            M[:, a:, :, a] = G[:, :l - a]
-        # one l x l^2 by l^2 x l product per symbol, as for a single symbol
-        return pk_operator(w)[::l] @ M.reshape(n, l * l, l)
+        # column a is the projection of th^a * g, g's table moved down a rows;
+        # one projection per (symbol, column) pair, as in the flat map
+        products = np.stack([sandwich(G, a, 0) for a in range(l)], axis=1)
+        img = _project_column(products.reshape(n * l, l, l), w).reshape(n, l, l)
+        return np.swapaxes(img, 1, 2)
     raise ValueError(f"unknown toeplitz mode {mode!r}")
 
 
@@ -211,8 +208,8 @@ def toeplitz(g: PGElement, w: WeightSeq, ctx: AlgebraCtx, mode: str = "closed") 
 
     mode="closed" places, for each symbol monomial th^i thb^j, the entry
     w_{i+a}/w_{i+a-j} at row i+a-j of column a whenever both i+a and i+a-j
-    are in range.  mode="projection" composes right multiplication with the
-    kernel projection and restricts to the holomorphic block.
+    are in range.  mode="projection" takes column a to be the kernel
+    projection of th^a * g, the image of th^a under right multiplication.
     """
     if not (g.l == w.l == ctx.l):
         raise ValueError("order mismatch")

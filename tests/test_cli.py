@@ -276,15 +276,23 @@ class TestUsageErrorsInAFreshProcess:
         ("verify", "--l", "3", "--q", "1", "--weights",
          "3.4488931673893593e-181,4.539171560614011e-244,1.4763542313330543e+300",
          "--format", "json"),
+        # the charge blocks' inverse once summed inf and -inf with math.fsum,
+        # which ended the sweep with "-inf + inf in fsum"
+        ("verify", "--l", "3", "--q", "1", "--weights", "1.9563811440276517e-308,1.0,5e-324",
+         "--format", "json"),
     ], ids=["deep-parentheses", "tiny-q", "infinite-q", "gram-determinant-overflow",
             "verify-huge-weight", "verify-tiny-weight", "pk-overflow", "toeplitz-overflow",
-            "symbol-overflow", "spectrum-overflow", "verify-svd-of-inf"])
+            "symbol-overflow", "spectrum-overflow", "verify-svd-of-inf",
+            "verify-fsum-of-both-infinities"])
     def test_exit_2_with_one_error_line(self, argv):
         proc = run_fresh(*argv)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
         assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+        if argv[0] == "verify":
+            # a sweep that ends early names the residual that overflowed
+            assert proc.stderr.startswith("error: the residual of ")
 
 
 class TestFiniteOutputGate:

@@ -33,7 +33,7 @@ from pgquant import (MONOMIAL, ORTHONORMAL, AlgebraCtx, Const, Gen, OperatorBH,
                      normal_order, pk_operator, project_pk, project_pk_bar,
                      toeplitz, toeplitz_adjoint, toeplitz_flat)
 from pgquant.algebra import conjugate_stack, multiply_stack, sandwich, scatter_sum
-from pgquant.forms import _charge_hankels, form_stack
+from pgquant.forms import _charge_hankels, form_stack, preset_weights
 from pgquant.quantization import (coherent_quantization_stack, convert_basis_stack,
                                   project_pk_bar_stack, project_pk_stack,
                                   toeplitz_adjoint_stack, toeplitz_flat_stack, toeplitz_stack)
@@ -172,14 +172,22 @@ def test_projection_toeplitz_is_the_holomorphic_block_of_the_full_product(q):
         assert float(np.max(np.abs(got - full))) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("law", ["uniform", "factorial"])
 @pytest.mark.parametrize("l", range(2, 25))
-def test_projection_toeplitz_columns_are_the_holomorphic_columns_of_mult_operator(l):
+def test_projection_toeplitz_has_the_bytes_of_the_closed_map_and_its_column_loop(l, law):
     ctx = AlgebraCtx(l, GRID_Q_VALUES[l % len(GRID_Q_VALUES)])
-    w = rand_weights(np.random.default_rng([l, 20]), l)
-    g = rand_sparse_element(np.random.default_rng([l, 20]), l)
-    # the holomorphic elements th^a sit at every l-th flat position
-    want = pk_operator(w)[::l] @ mult_operator(g, "right", ctx)[:, ::l]
-    assert np.array_equal(toeplitz(g, w, ctx, "projection").matrix, want)
+    rng = np.random.default_rng([l, 20])
+    w = rand_weights(rng, l) if law == "uniform" else preset_weights("factorial", l)
+    table = rand_sparse_element(rng, l).coeffs.copy()
+    table[l - 1, 0] = -0.0
+    g = PGElement(l, table)
+    got = toeplitz(g, w, ctx, "projection").matrix
+    # both routes form the terms g[i, j] * (w_{i+a} / w_{i+a-j}) and sum each
+    # entry in increasing i, through index tables of their own
+    assert got.tobytes() == toeplitz(g, w, ctx, "closed").matrix.tobytes()
+    columns = [project_pk(multiply(PGElement.basis(l, a, 0), g, ctx), w).coeffs[:, 0]
+               for a in range(l)]
+    assert got.tobytes() == np.stack(columns, axis=1).tobytes()
 
 
 # --- the charge-graded form adjoint ------------------------------------------

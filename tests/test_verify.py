@@ -6,10 +6,17 @@ are NaN or infinite, and that every check keeps that contract.  The checks
 that draw their samples as stacks are pinned to the per-sample loops they
 replaced: the same residuals, bit for bit.  The checks that make one stacked
 call per family of basis monomials are pinned to the per-monomial loops they
-replaced: the same record.
+replaced: the same record.  The toeplitz_dual_path records are the same
+bytes under another BLAS kernel.
 """
 import itertools
+import json
 import math
+import os
+import pathlib
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -92,6 +99,16 @@ def test_a_magnitude_beyond_the_float_range_fails_as_inf(name):
     # Python's complex abs raises OverflowError where numpy's gives inf
     [r] = point(2, w=WeightSeq(2, (1e308, 1.0)), checks=(name,))
     assert (r.residual, r.status) == (math.inf, "fail")
+
+
+def test_weights_whose_inverse_blocks_sum_both_infinities_give_every_record():
+    # the power series of the charge blocks' inverse sums inf and -inf here;
+    # math.fsum raised ValueError on it and ended the whole point
+    w = WeightSeq(3, (1.9563811440276517e-308, 1.0, 5e-324))
+    records = point(3, w=w)
+    assert [r.check for r in records] == list(verify_mod.CHECK_NAMES)
+    adjoint = records[verify_mod.CHECK_NAMES.index("adjoint_wrt_form")]
+    assert (adjoint.residual, adjoint.status) == (math.inf, "fail")
 
 
 @pytest.mark.parametrize("name,fn", verify_mod.CHECKS, ids=verify_mod.CHECK_NAMES)
@@ -427,3 +444,34 @@ def test_basis_family_check_keeps_the_record_of_its_loop(monkeypatch, name, l):
     batched = records()
     with_check(monkeypatch, name, LOOPS[name])
     assert batched == records()
+
+
+# the toeplitz_dual_path records of the default grid, as one JSON line
+DUAL_PATH_SWEEP = """\
+import json
+from pgquant import verify
+print(json.dumps([
+    [r.check, r.l, r.q_id, r.w_id, r.residual, r.status, r.note]
+    for l in verify.GRID_LS for q_id, q in verify.GRID_QS
+    for w_id, w in verify.grid_point_weights(l, q)
+    for r in verify.run_point(l, q_id, q, w_id, w, checks=("toeplitz_dual_path",))]))
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE selects among x86 kernels")
+def test_toeplitz_dual_path_records_do_not_depend_on_the_blas_kernel(capsys):
+    """Both Toeplitz routes sum the same terms in the same order without BLAS,
+    so every residual is 0.0 and a process on the Prescott kernel of a
+    dynamic-arch OpenBLAS gives the same records."""
+    exec(DUAL_PATH_SWEEP, {})
+    here = capsys.readouterr().out
+    src = pathlib.Path(verify_mod.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    fresh = subprocess.run([sys.executable, "-c", DUAL_PATH_SWEEP], capture_output=True,
+                           text=True, check=True, env=env)
+    assert fresh.stdout == here
+    records = json.loads(here)
+    assert len(records) == 125
+    assert {(r[4], r[5]) for r in records} == {(0.0, "pass")}
