@@ -191,7 +191,7 @@ def normal_order(word, ctx: AlgebraCtx) -> PGElement:
             raise ValueError(f"unknown generator {gen!r}")
     if a >= ctx.l or b >= ctx.l:
         return PGElement.zero(ctx.l)
-    return PGElement.basis(ctx.l, a, b, ctx.q ** (-inversions))
+    return PGElement.basis(ctx.l, a, b, ctx.qinv_powers[inversions])
 
 
 # multiply_stack and form_stack evaluate a stack in blocks of at most this many

@@ -87,10 +87,6 @@ def _complex_pair(z: complex):
     return [float(np.real(z)), float(np.imag(z))]
 
 
-def _matrix_rows(M: np.ndarray):
-    return [[_complex_pair(z) for z in row] for row in M]
-
-
 def _emit(text: str, output: str | None):
     if output:
         with open(output, "w") as fh:
@@ -99,72 +95,59 @@ def _emit(text: str, output: str | None):
         print(text)
 
 
-def _matrix_csv(M: np.ndarray) -> str:
-    lines = []
-    for row in M:
-        cells = []
-        for z in row:
-            cells.append(repr(float(np.real(z))))
-            cells.append(repr(float(np.imag(z))))
-        lines.append(",".join(cells))
-    return "\n".join(lines)
+def _emit_matrix(args, q: complex, w: WeightSeq, basis: str, M: np.ndarray, **extra) -> int:
+    """Write a matrix with its point and basis: JSON with the extra keys before
+    the rows, or CSV rows of re,im pairs followed by one key,value line per
+    extra key."""
+    if args.format == "json":
+        payload = {"l": args.l, "q": _complex_pair(q), "weights": list(w.w), "basis": basis,
+                   **extra, "rows": [[_complex_pair(z) for z in row] for row in M]}
+        _emit(json.dumps(payload), args.output)
+    else:
+        lines = [",".join(repr(x) for z in row for x in _complex_pair(z)) for row in M]
+        lines += [f"{key},{value!r}" for key, value in extra.items()]
+        _emit("\n".join(lines), args.output)
+    return 0
+
+
+def _symbol(args, ctx: AlgebraCtx):
+    """The --symbol text as an element of the algebra."""
+    if args.symbol is None:
+        raise ConfigError(f"--symbol is required for --which {args.which}")
+    g = from_free_expr(parse(args.symbol), ctx)
+    _finite("the symbol", g.coeffs)
+    return g
+
+
+# The --which kinds in usage-line order: the basis label of the matrix and its
+# builder from (g, w, ctx), where g() parses --symbol; pk never calls it.  A
+# builder looks its function up when it runs, so a rebound function is used.
+MATRIX_KINDS = {
+    "toeplitz": ("monomial", lambda g, w, ctx: toeplitz(g(), w, ctx).matrix),
+    "toeplitz-on": ("orthonormal", lambda g, w, ctx: toeplitz_orthonormal(g(), w, ctx).matrix),
+    "coherent": ("orthonormal", lambda g, w, ctx: coherent_quantization(g(), w, ctx)),
+    "flat": ("orthonormal", lambda g, w, ctx: toeplitz_flat(g(), w, ctx)),
+    "pk": ("aw", lambda g, w, ctx: pk_operator(w)),
+    "mult-left": ("aw", lambda g, w, ctx: mult_operator(g(), "left", ctx)),
+    "mult-right": ("aw", lambda g, w, ctx: mult_operator(g(), "right", ctx)),
+}
 
 
 def cmd_matrix(args) -> int:
-    l = args.l
     q = parse_complex(args.q)
-    ctx = AlgebraCtx(l, q)
-    w = parse_weights(args.weights, l, q)
-    which = args.which
-    if which == "pk":
-        M = pk_operator(w)
-        basis = "aw"
-    else:
-        if args.symbol is None:
-            raise ConfigError(f"--symbol is required for --which {which}")
-        try:
-            expr = parse(args.symbol)
-        except ParseError as exc:
-            raise ConfigError(str(exc))
-        g = from_free_expr(expr, ctx)
-        _finite("the symbol", g.coeffs)
-        if which == "toeplitz":
-            M, basis = toeplitz(g, w, ctx).matrix, "monomial"
-        elif which == "toeplitz-on":
-            M, basis = toeplitz_orthonormal(g, w, ctx).matrix, "orthonormal"
-        elif which == "coherent":
-            M, basis = coherent_quantization(g, w, ctx), "orthonormal"
-        elif which == "flat":
-            M, basis = toeplitz_flat(g, w, ctx), "orthonormal"
-        elif which == "mult-left":
-            M, basis = mult_operator(g, "left", ctx), "aw"
-        elif which == "mult-right":
-            M, basis = mult_operator(g, "right", ctx), "aw"
-        else:
-            raise ConfigError(f"unknown matrix kind {which!r}")
-    _finite(f"the {which} matrix", M)
-    if args.format == "json":
-        payload = {"l": l, "q": _complex_pair(q), "weights": list(w.w),
-                   "basis": basis, "rows": _matrix_rows(M)}
-        _emit(json.dumps(payload), args.output)
-    else:
-        _emit(_matrix_csv(M), args.output)
-    return 0
+    ctx = AlgebraCtx(args.l, q)
+    w = parse_weights(args.weights, args.l, q)
+    basis, build = MATRIX_KINDS[args.which]
+    M = _finite(f"the {args.which} matrix", build(lambda: _symbol(args, ctx), w, ctx))
+    return _emit_matrix(args, q, w, basis, M)
 
 
 def cmd_gram(args) -> int:
-    l = args.l
     q = parse_complex(args.q)
-    w = parse_weights(args.weights, l, q)
+    w = parse_weights(args.weights, args.l, q)
     G = gram_matrix(w)
     det = _finite("the Gram determinant", float(np.linalg.det(G)))
-    if args.format == "json":
-        payload = {"l": l, "q": _complex_pair(q), "weights": list(w.w),
-                   "basis": "aw", "determinant": det, "rows": _matrix_rows(G)}
-        _emit(json.dumps(payload), args.output)
-    else:
-        _emit(_matrix_csv(G) + f"\ndeterminant,{det!r}", args.output)
-    return 0
+    return _emit_matrix(args, q, w, "aw", G, determinant=det)
 
 
 def cmd_spectrum(args) -> int:
@@ -220,7 +203,11 @@ def cmd_verify(args) -> int:
     if not 0 < args.tolerance < math.inf:
         raise ConfigError(f"--tolerance must be finite and > 0, got {args.tolerance!r}")
     ls = (args.l,) if args.l else verify_mod.GRID_LS
-    qs = ((args.q, parse_complex(args.q)),) if args.q else verify_mod.GRID_QS
+    qs = verify_mod.GRID_QS
+    if args.q:
+        # a grid id, "exp(i*pi/3)" among them, names the grid's own value
+        grid_q = dict(verify_mod.GRID_QS)
+        qs = ((args.q, grid_q[args.q] if args.q in grid_q else parse_complex(args.q)),)
     if args.weights:
         w_id = "custom" if "," in args.weights else args.weights
 
@@ -284,9 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_matrix = sub.add_parser("matrix", help="emit one operator matrix")
     common(p_matrix)
-    p_matrix.add_argument("--which", required=True,
-                          choices=("toeplitz", "toeplitz-on", "coherent", "flat",
-                                   "pk", "mult-left", "mult-right"))
+    p_matrix.add_argument("--which", required=True, choices=MATRIX_KINDS)
     p_matrix.add_argument("--symbol", default=None, help="symbol expression text")
     p_matrix.set_defaults(fn=cmd_matrix)
 
@@ -300,7 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the identity checks over a grid")
     p_verify.add_argument("--l", type=int, default=None)
-    p_verify.add_argument("--q", default=None)
+    p_verify.add_argument("--q", default=None,
+                          help="a+bi text or grid id: "
+                          + "|".join(q_id for q_id, _ in verify_mod.GRID_QS))
     p_verify.add_argument("--weights", default=None,
                           help="comma list or preset: ones|factorial|qfactorial|rand1|rand2|rand3")
     p_verify.add_argument("--seed", type=int, default=0)
@@ -342,7 +329,7 @@ def main(argv=None) -> int:
             raise ConfigError(f"--l must be between 2 and {MAX_L}, got {args.l}")
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -120,21 +120,28 @@ def project_pk(F: PGElement, w: WeightSeq, mode: str = "closed") -> PGElement:
     return PGElement(w.l, project_pk_stack(F.coeffs[None], w, mode)[0])
 
 
-def project_pk_bar_stack(F: np.ndarray, w: WeightSeq) -> np.ndarray:
-    """project_pk_bar of each table of an (n, l, l) stack."""
-    l = w.l
-    out = np.zeros((len(F), l, l), dtype=complex)
-    # the mirror image of project_pk: transposing F swaps the roles of a and b
-    out[:, 0, :] = _project_column(np.swapaxes(F, 1, 2), w)
-    return out
-
-
 def project_pk_bar(F: PGElement, w: WeightSeq) -> PGElement:
     """Projection onto the anti-holomorphic subspace: th^a thb^b ->
     (w_b / w_{b-a}) thb^{b-a} under the matching range guard."""
     if F.l != w.l:
         raise ValueError("order mismatch")
-    return PGElement(w.l, project_pk_bar_stack(F.coeffs[None], w)[0])
+    out = np.zeros((w.l, w.l), dtype=complex)
+    # the mirror image of project_pk: transposing F swaps the roles of a and b
+    out[0, :] = _project_column(F.coeffs.T[None], w)[0]
+    return PGElement(w.l, out)
+
+
+def _project_shifts(G: np.ndarray, w: WeightSeq, scale=None) -> np.ndarray:
+    """(n, l, l) array: row a of entry m is the closed projection of
+    th^a * G[m], G[m]'s table moved down a rows, times scale[a] if given.
+    The l shifts of each table are written into one buffer and projected in
+    one call."""
+    l = w.l
+    n = len(G)
+    shifts = np.zeros((n, l, l, l), dtype=complex)
+    for a in range(l):
+        shifts[:, a, a:] = G[:, :l - a] if scale is None else G[:, :l - a] * scale[a]
+    return _project_column(shifts.reshape(n * l, l, l), w).reshape(n, l, l)
 
 
 @functools.lru_cache(maxsize=None)
@@ -195,11 +202,8 @@ def toeplitz_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx,
         terms = gather(G, symbol) * (ws[num] / ws[den])[None]
         return scatter_sum(cells, terms, l * l).reshape(n, l, l)
     if mode == "projection":
-        # column a is the projection of th^a * g, g's table moved down a rows;
-        # one projection per (symbol, column) pair, as in the flat map
-        products = np.stack([sandwich(G, a, 0) for a in range(l)], axis=1)
-        img = _project_column(products.reshape(n * l, l, l), w).reshape(n, l, l)
-        return np.swapaxes(img, 1, 2)
+        # column a is the projection of th^a * g, as in the flat map
+        return np.swapaxes(_project_shifts(G, w), 1, 2)
     raise ValueError(f"unknown toeplitz mode {mode!r}")
 
 
@@ -280,13 +284,11 @@ def coherent_quantization(g: PGElement, w: WeightSeq, ctx: AlgebraCtx,
 
 def toeplitz_flat_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx) -> np.ndarray:
     """toeplitz_flat of each symbol of an (n, l, l) stack."""
-    l = ctx.l
-    n = len(G)
     sw = np.sqrt(w.arr())
-    # table k*l + a is g_k times the conjugated orthonormal element
-    # w_a^{-1/2} thb^a; one projection per (symbol, basis element) pair
-    products = np.stack([sandwich(G, 0, a) * (1.0 / sw[a]) for a in range(l)], axis=1)
-    img = project_pk_bar_stack(products.reshape(n * l, l, l), w)[:, 0, :].reshape(n, l, l)
+    # g_k times the conjugated orthonormal element w_a^{-1/2} thb^a is g_k's
+    # table moved right a columns; transposed, it is moved down a rows, and
+    # the anti-holomorphic projection becomes the holomorphic one
+    img = _project_shifts(np.swapaxes(G, 1, 2), w, 1.0 / sw)
     # thb^b coefficient scaled back to the conjugated orthonormal basis; the
     # image of basis element a is column a
     return np.swapaxes(img * sw, 1, 2)

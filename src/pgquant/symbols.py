@@ -8,8 +8,14 @@ Grammar (products are non-commutative and preserve written order):
     atom   := 'th' | 'thb' | 'q' | number | '(' expr ')'
 
 Numbers are real or pure-imaginary literals (2.5, 3i, 1e-4, bare i); a full
-complex coefficient must be parenthesized, e.g. (1+2i)*th.  The unicode
-spellings of the two generators are accepted as aliases.
+complex coefficient must be parenthesized, e.g. (1+2i)*th.
+
+The lexer reads one token table, _TOKEN_RE, whose kinds are tried in this
+order at each position; whitespace between tokens is skipped, and a character
+that starts no token raises ParseError at its position:
+
+    thb 'thb' or θ + U+0304/U+0305 | th 'th' or θ | q | number
+    op '+' '-' '*' '^' or U+2212 (read as '-') | lparen '(' | rparen ')'
 """
 from __future__ import annotations
 
@@ -19,9 +25,18 @@ from dataclasses import dataclass
 from .algebra import (THETA, THETA_BAR, Const, FreeExpr, Gen, Neg, PGElement,
                       Pow, Prod, QSym, Sum)
 
-_MINUS = ("-", "−")
-
-_NUMBER_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?i?|\.\d+(?:[eE][+-]?\d+)?i?")
+# the token table: one named group per token kind; the first that matches
+# wins, so "thb" is read before "th"
+_TOKEN_RE = re.compile(r"""
+    (?P<space>\s+)
+  | (?P<thb>thb|\u03b8[\u0304\u0305])
+  | (?P<th>th|\u03b8)
+  | (?P<q>q)
+  | (?P<number>i|\d+(?:\.\d*)?(?:[eE][+-]?\d+)?i?|\.\d+(?:[eE][+-]?\d+)?i?)
+  | (?P<op>[-+*^\u2212])
+  | (?P<lparen>\()
+  | (?P<rparen>\))
+""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -42,56 +57,15 @@ class ParseError(Exception):
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if text.startswith("thb", i):
-            tokens.append(Token("thb", "thb", i))
-            i += 3
-            continue
-        if text.startswith("th", i):
-            tokens.append(Token("th", "th", i))
-            i += 2
-            continue
-        if ch == "θ":  # unicode theta, optionally with a combining macron
-            if i + 1 < n and text[i + 1] in ("̄", "̅"):
-                tokens.append(Token("thb", text[i:i + 2], i))
-                i += 2
-            else:
-                tokens.append(Token("th", ch, i))
-                i += 1
-            continue
-        if ch == "q":
-            tokens.append(Token("q", "q", i))
-            i += 1
-            continue
-        if ch == "i":
-            tokens.append(Token("number", "i", i))
-            i += 1
-            continue
-        m = _NUMBER_RE.match(text, i)
-        if m:
-            tokens.append(Token("number", m.group(0), i))
-            i = m.end()
-            continue
-        if ch in "+*^" or ch in _MINUS:
-            tokens.append(Token("op", "-" if ch in _MINUS else ch, i))
-            i += 1
-            continue
-        if ch == "(":
-            tokens.append(Token("lparen", ch, i))
-            i += 1
-            continue
-        if ch == ")":
-            tokens.append(Token("rparen", ch, i))
-            i += 1
-            continue
-        raise ParseError(i, f"unknown token {ch!r}")
-    tokens.append(Token("end", "", n))
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(pos, f"unknown token {text[pos]!r}")
+        if m.lastgroup != "space":
+            tokens.append(Token(m.lastgroup, m.group().replace("\u2212", "-"), pos))
+        pos = m.end()
+    tokens.append(Token("end", "", len(text)))
     return tokens
 
 

@@ -194,6 +194,18 @@ def test_removed_options_exit_2(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["matrix", "gram", "spectrum", "verify"])
+def test_help_exits_0_and_lists_the_which_kinds_in_order(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: pgquant {command} ")
+    kinds = "{toeplitz,toeplitz-on,coherent,flat,pk,mult-left,mult-right}"
+    assert (kinds in out) == (command == "matrix")
+    assert ("exp(i*pi/3)" in out) == (command == "verify")
+
+
 class TestSignedValues:
     """A value that starts with '-' may follow its option as a separate token."""
 
@@ -475,7 +487,8 @@ class TestVerifyCommand:
         assert len(json.loads(procs[0].stdout)["records"]) == len(verify_mod.CHECKS)
         assert procs[0].stdout == procs[1].stdout
 
-    @pytest.mark.parametrize("l,q_id,q", [(3, "0.5", 0.5), (5, "-1", -1.0)])
+    @pytest.mark.parametrize("l,q_id,q", [(3, "0.5", 0.5), (5, "-1", -1.0),
+                                          (4, "exp(i*pi/3)", np.exp(1j * np.pi / 3))])
     def test_single_point_records_equal_grid_records(self, capsys, l, q_id, q):
         grid = verify_mod.run_grid((l,), ((q_id, q),), seed=3)
         for w_id in verify_mod.GRID_WEIGHT_IDS:

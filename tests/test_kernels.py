@@ -35,7 +35,7 @@ from pgquant import (MONOMIAL, ORTHONORMAL, AlgebraCtx, Const, Gen, OperatorBH,
 from pgquant.algebra import conjugate_stack, multiply_stack, sandwich, scatter_sum
 from pgquant.forms import _charge_hankels, form_stack, preset_weights
 from pgquant.quantization import (coherent_quantization_stack, convert_basis_stack,
-                                  project_pk_bar_stack, project_pk_stack,
+                                  project_pk_stack,
                                   toeplitz_adjoint_stack, toeplitz_flat_stack, toeplitz_stack)
 from pgquant.verify import GRID_QS, compression_samples, random_element, random_elements
 
@@ -357,7 +357,9 @@ def test_multiply_of_monomials_is_normal_order_of_the_word(l, q):
         got = multiply(PGElement.basis(l, a, b), PGElement.basis(l, c, d), ctx)
         word = (THETA,) * a + (THETA_BAR,) * b + (THETA,) * c + (THETA_BAR,) * d
         want = normal_order(word, ctx)
-        np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-12, atol=0)
+        # equal values; at q = -1 the sign of a zero imaginary part differs,
+        # because the product sums q^{-k} = -1-0j onto +0
+        assert np.array_equal(got.coeffs, want.coeffs)
 
 
 def test_multiply_rejects_a_context_of_another_order():
@@ -523,7 +525,6 @@ def test_stacked_kernels_equal_single_calls(l, q, n):
     for mode in ("closed", "kernel"):
         assert np.array_equal(project_pk_stack(F, w, mode),
                               each(lambda f: project_pk(f, w, mode).coeffs, F))
-    assert np.array_equal(project_pk_bar_stack(F, w), each(lambda f: project_pk_bar(f, w).coeffs, F))
     assert np.array_equal(toeplitz_flat_stack(G, w, ctx),
                           each(lambda g: toeplitz_flat(g, w, ctx), G))
     assert np.array_equal(conjugate_stack(F), each(lambda f: conjugate(f).coeffs, F))

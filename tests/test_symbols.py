@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from pgquant import (AlgebraCtx, Const, Gen, Neg, PGElement, ParseError, Pow,
                      Prod, QSym, Sum, THETA, THETA_BAR, format_element,
                      from_free_expr, parse)
-from pgquant.symbols import MAX_DEPTH
+from pgquant.symbols import MAX_DEPTH, Token, tokenize
 
 CTX = AlgebraCtx(3, 2.0)
 
@@ -201,3 +201,34 @@ class TestNestingDepth:
         with pytest.raises(ParseError, match="nested deeper") as exc:
             parse("(" * (MAX_DEPTH + 1) + "th" + ")" * (MAX_DEPTH + 1))
         assert exc.value.position == MAX_DEPTH
+
+
+class TestTokenize:
+    @given(text=st.text(st.one_of(
+        st.sampled_from(list("thbqi0123456789.eE+-*^() \t\n") + ["\u03b8", "\u0304",
+                                                                  "\u0305", "\u2212"]),
+        st.characters())))
+    @settings(max_examples=500, deadline=None)
+    def test_tokens_cover_the_text_or_the_error_points_at_it(self, text):
+        try:
+            tokens = tokenize(text)
+        except ParseError as exc:
+            assert 0 <= exc.position < len(text)
+            assert not text[exc.position].isspace()
+            assert exc.message == f"unknown token {text[exc.position]!r}"
+            return
+        positions = [t.pos for t in tokens]
+        assert all(a < b for a, b in zip(positions, positions[1:]))
+        ends = [0]
+        for t in tokens[:-1]:
+            assert text[t.pos:t.pos + len(t.text)].replace("\u2212", "-") == t.text
+            ends.append(t.pos + len(t.text))
+        assert tokens[-1] == Token("end", "", len(text))
+        # only whitespace lies between the tokens
+        assert all(text[end:t.pos].isspace() or end == t.pos
+                   for end, t in zip(ends, tokens))
+
+    def test_minus_sign_and_unicode_generators(self):
+        assert tokenize("\u03b8\u0304 \u2212 \u03b8") == [
+            Token("thb", "\u03b8\u0304", 0), Token("op", "-", 3), Token("th", "\u03b8", 5),
+            Token("end", "", 6)]
