@@ -120,8 +120,9 @@ def _symbol(args, ctx: AlgebraCtx):
 
 
 # The --which kinds in usage-line order: the basis label of the matrix and its
-# builder from (g, w, ctx), where g() parses --symbol; pk never calls it.  A
-# builder looks its function up when it runs, so a rebound function is used.
+# builder from (g, w, ctx), where g() is the --symbol element; pk never calls
+# it.  A builder looks its function up when it runs, so a rebound function is
+# used.
 MATRIX_KINDS = {
     "toeplitz": ("monomial", lambda g, w, ctx: toeplitz(g(), w, ctx).matrix),
     "toeplitz-on": ("orthonormal", lambda g, w, ctx: toeplitz_orthonormal(g(), w, ctx).matrix),
@@ -138,7 +139,11 @@ def cmd_matrix(args) -> int:
     ctx = AlgebraCtx(args.l, q)
     w = parse_weights(args.weights, args.l, q)
     basis, build = MATRIX_KINDS[args.which]
-    M = _finite(f"the {args.which} matrix", build(lambda: _symbol(args, ctx), w, ctx))
+    # a given --symbol is parsed and checked for every kind, pk included, which
+    # then drops it; a missing one is an error only for the kinds that call g()
+    g = None if args.symbol is None else _symbol(args, ctx)
+    M = _finite(f"the {args.which} matrix",
+                build(lambda: _symbol(args, ctx) if g is None else g, w, ctx))
     return _emit_matrix(args, q, w, basis, M)
 
 

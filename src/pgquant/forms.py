@@ -230,9 +230,12 @@ def adjoint_wrt_form(A: np.ndarray, w: WeightSeq) -> np.ndarray:
     Works charge block by charge block: G links flat position a*l+b only to
     positions of the same charge s = a-b, on which it is symmetric with the
     real block H[:l-|s|, |s|:] of _charge_hankels, so (A^H G)^T = G conj(A)
-    and both products are row-block products with real blocks.
+    and both products are row-block products with real blocks.  A real A
+    gives a real A* (G is real), so the result keeps A's kind: float64 for a
+    real A, complex128 for a complex one.
     """
-    A = np.ascontiguousarray(A, dtype=complex)
+    A = np.asarray(A)
+    A = np.ascontiguousarray(A, dtype=np.result_type(A, float))
     l = w.l
     if A.shape != (l * l, l * l):
         raise ValueError(f"operator must be {l * l}x{l * l}")
@@ -245,7 +248,8 @@ def adjoint_wrt_form(A: np.ndarray, w: WeightSeq) -> np.ndarray:
         start, n = (s * l if s >= 0 else -s), l - abs(s)
         charges.append((slice(start, start + (n - 1) * (l + 1) + 1, l + 1), abs(s)))
     # viewed as float, a C-ordered complex array holds re and im side by side
-    # in each row, so a real block times a block of rows is one real product
+    # in each row, so a real block times a block of rows is one real product;
+    # a real array is its own view, with rows half as wide as a complex one's
     Y = np.conj(A)
     Yr = Y.view(np.float64)
     for rows, s in charges:

@@ -146,13 +146,14 @@ def _project_shifts(G: np.ndarray, w: WeightSeq, scale=None) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def pk_operator(w: WeightSeq) -> np.ndarray:
-    """The projection as an l^2 x l^2 matrix; idempotent, self-adjoint for the
-    weighted form, rank l.  Column a*l+b holds w_a / w_{a-b} at row (a-b)*l
-    when a >= b and is zero otherwise."""
+    """The projection as a read-only float64 l^2 x l^2 matrix; idempotent,
+    self-adjoint for the weighted form, rank l.  Column a*l+b holds
+    w_a / w_{a-b} at row (a-b)*l when a >= b and is zero otherwise; every
+    entry is a ratio of weights, so products with P run in real arithmetic."""
     l = w.l
     pos, num, den = _projection_support(l)
     ws = w.arr()
-    P = np.zeros((l * l, l * l), dtype=complex)
+    P = np.zeros((l * l, l * l))
     P[den * l, pos] = ws[num] / ws[den]
     P.flags.writeable = False
     return P

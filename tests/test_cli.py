@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pgquant import AlgebraCtx, PGElement, WeightSeq, toeplitz
 from pgquant import verify as verify_mod
-from pgquant.cli import MAX_L, main, parse_complex, parse_weights, ConfigError
+from pgquant.cli import MATRIX_KINDS, MAX_L, main, parse_complex, parse_weights, ConfigError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -133,6 +133,21 @@ class TestMatrixCommand:
                            "--symbol", "th^-1")
         assert code == 2
         assert "position" in err
+
+    @pytest.mark.parametrize("symbol,message", [
+        ("$$", "parse error at position 0: unknown token '$'"),
+        ("1e300*1e300*th", "the symbol overflowed to inf or NaN"),
+    ], ids=["malformed", "overflowing"])
+    def test_every_kind_rejects_a_bad_symbol(self, capsys, symbol, message):
+        """For every kind: pk reads no symbol, but a given one is still checked."""
+        for which in MATRIX_KINDS:
+            code, out, err = run(capsys, "matrix", "--l", "2", "--q", "1", "--weights", "1,2",
+                                 "--which", which, "--symbol", symbol)
+            assert (code, out) == (2, "") and message in err, which
+
+    def test_pk_drops_a_well_formed_symbol(self, capsys):
+        argv = ("matrix", "--l", "3", "--weights", "factorial", "--which", "pk")
+        assert run(capsys, *argv, "--symbol", "th*thb - 2i") == run(capsys, *argv)
 
     def test_missing_symbol_exit_2(self, capsys):
         code, _, err = run(capsys, "matrix", "--l", "2", "--q", "1",

@@ -130,7 +130,9 @@ def test_projections_and_pk_operator_equal_their_loops(l):
     rng = np.random.default_rng([l, 16])
     for _ in range(3):
         w = rand_weights(rng, l)
-        assert np.array_equal(pk_operator(w), loop_pk_operator(w))
+        P = pk_operator(w)
+        assert P.dtype == np.float64 and not P.flags.writeable
+        assert np.array_equal(P, loop_pk_operator(w))
         for _ in range(4):
             F = rand_sparse_element(rng, l)
             assert np.array_equal(project_pk(F, w).coeffs, loop_project_pk(F, w))
@@ -318,6 +320,38 @@ def test_graded_adjoint_equals_the_permuted_route(l, law):
         A = rand_operator(rng, l)
         for op in (A, np.asfortranarray(A)):
             assert np.array_equal(adjoint_wrt_form(op, w), permuted_adjoint(A, w))
+
+
+@pytest.mark.parametrize("law", [(0.25, 4.0), (0.8, 1.25)], ids=["U(0.25,4)", "U(0.8,1.25)"])
+@pytest.mark.parametrize("l", [*range(2, 13), 16, 24])
+def test_graded_adjoint_keeps_a_real_operator_real(l, law):
+    """G is real, so a real A has a real A*: the float64 route runs the same
+    block products on rows half as wide.  Its result is the real part of the
+    complex route's within a tolerance, not bit for bit, because the two
+    widths may reach BLAS kernels that round differently."""
+    rng = np.random.default_rng([l, 32])
+    for _ in range(2 if l > 12 else 4):
+        w = WeightSeq(l, tuple(rng.uniform(*law, l)))
+        A = rng.standard_normal((l * l, l * l))
+        via_complex = adjoint_wrt_form(A.astype(complex), w)
+        assert via_complex.dtype == np.complex128 and not np.any(via_complex.imag)
+        for op in (A, np.asfortranarray(A)):
+            got = adjoint_wrt_form(op, w)
+            assert got.dtype == np.float64
+            assert rel_err(got, via_complex.real) <= 1e-15
+
+
+def test_projection_at_l24_is_idempotent_and_self_adjoint_in_real_arithmetic():
+    """Under the large-structure law U(0.8, 1.25).  Column a*l+b of P holds
+    one entry, at a row whose own column holds 1.0, so P @ P is exact."""
+    rng = np.random.default_rng([24, 34])
+    for _ in range(3):
+        w = WeightSeq(24, tuple(rng.uniform(0.8, 1.25, 24)))
+        P = pk_operator(w)
+        assert np.array_equal(P @ P, P)
+        adjoint = adjoint_wrt_form(P, w)
+        assert adjoint.dtype == np.float64
+        assert rel_err(adjoint, P) <= 1e-12
 
 
 @pytest.mark.parametrize("l", range(2, 13))
