@@ -48,7 +48,9 @@ class AlgebraCtx:
         top = (self.l - 1) * (self.l - 1)
         pows = np.ones(top + 1, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            pows[1:] = np.cumprod(np.full(top, 1.0 / self.q))
+            # + 0.0 turns the -1-0j of odd powers at q = -1 into the -1+0j that
+            # multiply's sum onto +0 gives, so normal_order has its bytes
+            pows[1:] = np.cumprod(np.full(top, 1.0 / self.q)) + 0.0
         pows.flags.writeable = False
         return pows
 
@@ -230,19 +232,6 @@ def multiply(f: PGElement, g: PGElement, ctx: AlgebraCtx) -> PGElement:
     return PGElement(l, multiply_stack(f.coeffs[None], g.coeffs[None], ctx)[0])
 
 
-def sandwich(G: np.ndarray, a: int, b: int) -> np.ndarray:
-    """The products th^a * G[k] * thb^b of an (n, l, l) stack, 0 <= a, b < l:
-    each table moved down a rows and right b columns.
-
-    No q-phase arises: th^a joins the th exponents from the left and thb^b the
-    thb exponents from the right, so no thb is moved past a th.
-    """
-    l = G.shape[-1]
-    out = np.zeros(G.shape, dtype=complex)
-    out[:, a:, b:] = G[:, :l - a, :l - b]
-    return out
-
-
 def anti_wick_product(f: PGElement, g: PGElement) -> PGElement:
     """Exponent-adding product with no q factor; a plain truncated convolution.
     It is the algebra product at q = 1."""
@@ -261,7 +250,7 @@ def conjugate(f: PGElement) -> PGElement:
 
 def z_map(f: PGElement) -> PGElement:
     """Linear basis swap th^i thb^j -> th^j thb^i, coefficients untouched."""
-    return PGElement(f.l, f.coeffs.T.copy())
+    return PGElement(f.l, f.coeffs.T)
 
 
 def berezin_integral(f: PGElement) -> complex:

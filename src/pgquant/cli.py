@@ -48,10 +48,6 @@ def parse_complex(text: str) -> complex:
     """Accept 'a+bi' style text ('1', '-1', '0.5', '0+1i', 'i')."""
     cleaned = _IMAGINARY_UNIT.sub(lambda m: "j" if m.group() == "i" else m.group(),
                                   text.strip().replace(" ", ""))
-    if cleaned in ("j", "+j"):
-        cleaned = "1j"
-    elif cleaned == "-j":
-        cleaned = "-1j"
     try:
         value = complex(cleaned)
     except ValueError:

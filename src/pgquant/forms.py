@@ -88,7 +88,9 @@ def _gram_support(l: int):
     return table
 
 
-@functools.lru_cache(maxsize=None)
+# one entry: callers reuse a weight sequence's matrix only while they work with
+# those weights, and more entries would only hold memory; shared, so read-only
+@functools.lru_cache(maxsize=1)
 def gram_matrix(w: WeightSeq) -> np.ndarray:
     """l^2 x l^2 matrix of the form over the monomial basis (row-major order).
 
@@ -103,7 +105,6 @@ def gram_matrix(w: WeightSeq) -> np.ndarray:
     return G
 
 
-@functools.lru_cache(maxsize=None)
 def _charge_hankels(w: WeightSeq):
     """Two l x l arrays whose slices are the charge blocks and their inverses.
 
@@ -123,8 +124,6 @@ def _charge_hankels(w: WeightSeq):
     k = np.add.outer(np.arange(l), np.arange(l))
     H = np.where(k < l, w.arr()[np.minimum(k, l - 1)], 0.0)
     U = np.where(k >= l - 1, np.array(u)[np.maximum(k - (l - 1), 0)], 0.0)
-    for arr in (H, U):
-        arr.flags.writeable = False
     return H, U
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraCtx, PGElement, gather, product_support, sandwich, scatter_sum
+from .algebra import AlgebraCtx, PGElement, gather, product_support, scatter_sum, z_map
 from .forms import WeightSeq, form_stack
 
 MONOMIAL = "monomial"
@@ -121,14 +121,9 @@ def project_pk(F: PGElement, w: WeightSeq, mode: str = "closed") -> PGElement:
 
 
 def project_pk_bar(F: PGElement, w: WeightSeq) -> PGElement:
-    """Projection onto the anti-holomorphic subspace: th^a thb^b ->
-    (w_b / w_{b-a}) thb^{b-a} under the matching range guard."""
-    if F.l != w.l:
-        raise ValueError("order mismatch")
-    out = np.zeros((w.l, w.l), dtype=complex)
-    # the mirror image of project_pk: transposing F swaps the roles of a and b
-    out[0, :] = _project_column(F.coeffs.T[None], w)[0]
-    return PGElement(w.l, out)
+    """Projection onto the anti-holomorphic subspace, th^a thb^b ->
+    (w_b / w_{b-a}) thb^{b-a} for b >= a: project_pk between two z_map swaps."""
+    return z_map(project_pk(z_map(F), w))
 
 
 def _project_shifts(G: np.ndarray, w: WeightSeq, scale=None) -> np.ndarray:
@@ -144,7 +139,7 @@ def _project_shifts(G: np.ndarray, w: WeightSeq, scale=None) -> np.ndarray:
     return _project_column(shifts.reshape(n * l, l, l), w).reshape(n, l, l)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1)  # one shared entry, as for forms.gram_matrix
 def pk_operator(w: WeightSeq) -> np.ndarray:
     """The projection as a read-only float64 l^2 x l^2 matrix; idempotent,
     self-adjoint for the weighted form, rank l.  Column a*l+b holds
@@ -170,11 +165,12 @@ def mult_operator(g: PGElement, side: str, ctx: AlgebraCtx) -> np.ndarray:
     l = ctx.l
     # F -> F*g reads g at the right factor of each product-table entry and F
     # at the left one; F -> g*F swaps the two roles.  The phase is q^{-bc}
-    # either way, and each (row, column) pair occurs once.
+    # either way.  Each (row, column) pair occurs once, so entries are assigned;
+    # + 0.0 turns a -0.0 product into the +0.0 that a sum onto zeros gives.
     left, right, bc, cells = product_support(l)
     g_at, cols = (right, left) if side == "right" else (left, right)
     M = np.zeros(l ** 4, dtype=complex)
-    M[cells * (l * l) + cols] += g.coeffs.ravel()[g_at] * ctx.qinv_powers[bc]
+    M[cells * (l * l) + cols] = g.coeffs.ravel()[g_at] * ctx.qinv_powers[bc] + 0.0
     return M.reshape(l * l, l * l)
 
 
@@ -260,10 +256,11 @@ def coherent_quantization_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx,
         sw = np.sqrt(w.arr())
         norm = np.outer(sw, sw)
         for m in range(l):
-            # th^m g thb^m inside the integral; by the same shift rule, the
-            # integral of th^r core thb^s is core's coefficient at (l-1-r, l-1-s)
-            core = sandwich(G, m, m)
-            A += w.w[l - 1 - m] * core[:, ::-1, ::-1] / norm
+            # th^m g thb^m is g moved down and right m places, no q-phase, and
+            # the integral of th^r (th^m g thb^m) thb^s reads g at (k-r, k-s),
+            # zero unless r, s <= k; adding those zeros would move no bit of A
+            k = l - 1 - m
+            A[:, :k + 1, :k + 1] += w.w[k] * G[:, k::-1, k::-1] / norm[:k + 1, :k + 1]
         return A
     raise ValueError(f"unknown coherent mode {mode!r}")
 
@@ -276,7 +273,8 @@ def coherent_quantization(g: PGElement, w: WeightSeq, ctx: AlgebraCtx,
     mode="closed": each symbol monomial th^i thb^j sends e_a to
     w_{j+a} / (w_{j-i+a} w_a)^{1/2} e_{j-i+a} when both j+a and j-i+a are in
     range.  mode="berezin" evaluates the defining double integral term by
-    term; each product th^m g thb^m in it is g's table shifted by sandwich.
+    term; each product th^m g thb^m in it is g's table moved down and right m
+    places, read in place as a reversed slice of g.
     """
     if not (g.l == w.l == ctx.l):
         raise ValueError("order mismatch")

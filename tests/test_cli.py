@@ -52,6 +52,12 @@ class TestParseHelpers:
         assert parse_complex("-i") == -1j
         assert parse_complex("2-3i") == 2 - 3j
 
+    def test_bare_imaginary_unit_has_the_bits_of_one_i(self):
+        # repr tells a signed zero apart, which == ignores
+        for text in ("i", "+i", " i "):
+            assert repr(parse_complex(text)) == repr(parse_complex("1i")) == "1j"
+        assert repr(parse_complex("-i")) == repr(parse_complex("-1i")) == "-1j"
+
     def test_complex_rejects(self):
         with pytest.raises(ConfigError):
             parse_complex("one")

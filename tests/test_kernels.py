@@ -3,8 +3,8 @@
 The fast kernels (multiply, mult_operator, the closed Toeplitz map, the berezin
 route, the closed form, the Gram matrix, the anti-Wick product, the kernel
 projections and P_K, the closed coherent map, the definitional form, the
-charge-graded form adjoint, the generator-power shift sandwich) gather and
-scatter over per-order index tables or strided slices; these tests compare
+charge-graded form adjoint) gather and scatter over per-order index tables,
+strided slices or shifted views; these tests compare
 them with their definitions, written as plain loops or as an independent
 route, also at orders the verify grid does not reach.  Where
 the loop is the route the table replaced, the comparison is exact: the table
@@ -32,7 +32,7 @@ from pgquant import (MONOMIAL, ORTHONORMAL, AlgebraCtx, Const, Gen, OperatorBH,
                      from_free_expr, gram_matrix, mult_operator, multiply,
                      normal_order, pk_operator, project_pk, project_pk_bar,
                      toeplitz, toeplitz_adjoint, toeplitz_flat)
-from pgquant.algebra import conjugate_stack, multiply_stack, sandwich, scatter_sum
+from pgquant.algebra import conjugate_stack, multiply_stack, scatter_sum
 from pgquant.forms import _charge_hankels, form_stack, preset_weights
 from pgquant.quantization import (coherent_quantization_stack, convert_basis_stack,
                                   project_pk_stack,
@@ -86,6 +86,15 @@ def loop_project_pk_bar(F, w):
     return out
 
 
+def loop_gram_matrix(w):
+    l = w.l
+    G = np.zeros((l * l, l * l))
+    for a, b, c, d in itertools.product(range(l), repeat=4):
+        if a + d == b + c and a + d < l:
+            G[aw_index(l, a, b), aw_index(l, c, d)] = w.w[a + d]
+    return G
+
+
 def loop_pk_operator(w):
     l = w.l
     P = np.zeros((l * l, l * l), dtype=complex)
@@ -137,6 +146,21 @@ def test_projections_and_pk_operator_equal_their_loops(l):
             F = rand_sparse_element(rng, l)
             assert np.array_equal(project_pk(F, w).coeffs, loop_project_pk(F, w))
             assert np.array_equal(project_pk_bar(F, w).coeffs, loop_project_pk_bar(F, w))
+
+
+def test_gram_matrix_and_pk_operator_keep_one_weight_sequence():
+    """Each caches the last weight sequence only: the one entry is shared, so
+    it stays read-only, and a new sequence replaces it rather than adding to
+    what the process holds."""
+    rng = np.random.default_rng([5, 35])
+    for _ in range(3):
+        w = rand_weights(rng, 5)
+        for fn, loop in ((gram_matrix, loop_gram_matrix), (pk_operator, loop_pk_operator)):
+            got = fn(w)
+            assert fn(w) is got and not got.flags.writeable
+            assert np.array_equal(got, loop(w))
+    assert gram_matrix.cache_info().currsize == 1
+    assert pk_operator.cache_info().currsize == 1
 
 
 @pytest.mark.parametrize("q", GRID_Q_VALUES)
@@ -391,9 +415,7 @@ def test_multiply_of_monomials_is_normal_order_of_the_word(l, q):
         got = multiply(PGElement.basis(l, a, b), PGElement.basis(l, c, d), ctx)
         word = (THETA,) * a + (THETA_BAR,) * b + (THETA,) * c + (THETA_BAR,) * d
         want = normal_order(word, ctx)
-        # equal values; at q = -1 the sign of a zero imaginary part differs,
-        # because the product sums q^{-k} = -1-0j onto +0
-        assert np.array_equal(got.coeffs, want.coeffs)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 def test_multiply_rejects_a_context_of_another_order():
@@ -412,6 +434,21 @@ def test_mult_operator_matches_multiply(l, q):
         left = mult_operator(g, "left", ctx) @ F.vector()
         np.testing.assert_allclose(right, multiply(F, g, ctx).vector(), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(left, multiply(g, F, ctx).vector(), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("q", GRID_Q_VALUES)
+@pytest.mark.parametrize("l", (2, 3, 6))
+def test_mult_operator_has_no_negative_zero(l, q):
+    """matrix --which mult-left|mult-right prints these entries, and a -0.0
+    coefficient of the symbol must print as 0.0, as it did when the entries
+    were summed onto a zero matrix."""
+    ctx = AlgebraCtx(l, q)
+    g = rand_sparse_element(np.random.default_rng([l, 36]), l)
+    parts = g.coeffs.view(np.float64)
+    assert np.signbit(parts[parts == 0]).any()  # the symbol holds a -0.0
+    for side in ("left", "right"):
+        M = mult_operator(g, side, ctx).view(np.float64)
+        assert not np.signbit(M[M == 0]).any()
 
 
 @pytest.mark.parametrize("q", GRID_Q_VALUES)
@@ -606,18 +643,23 @@ def test_toeplitz_flat_equals_its_column_loop(l, q):
         assert toeplitz_flat(g, w, ctx).tobytes() == loop_toeplitz_flat(g, w, ctx).tobytes()
 
 
-# --- products with a generator power: sandwich moves the table ----------------
+# --- the berezin route: products with generator powers as shifted views -------
 
 @pytest.mark.parametrize("q", GRID_Q_VALUES)
 @pytest.mark.parametrize("l", range(2, 8))
-def test_sandwich_is_the_product_with_generator_powers(l, q):
+def test_generator_powers_shift_the_table(l, q):
+    """th^a G thb^b is G moved down a rows and right b columns, with no
+    q-phase: the rule the berezin route and the projection Toeplitz's row
+    shifts read in place instead of multiplying."""
     ctx = AlgebraCtx(l, q)
     G = sparse_stack(np.random.default_rng([l, 31]), l, 3)
     for a in range(l):
         for b in range(l):
-            want = multiply_stack(multiply_stack(PGElement.basis(l, a, 0).coeffs[None], G, ctx),
-                                  PGElement.basis(l, 0, b).coeffs[None], ctx)
-            assert np.array_equal(sandwich(G, a, b), want)
+            want = np.zeros(G.shape, dtype=complex)
+            want[:, a:, b:] = G[:, :l - a, :l - b]
+            got = multiply_stack(multiply_stack(PGElement.basis(l, a, 0).coeffs[None], G, ctx),
+                                 PGElement.basis(l, 0, b).coeffs[None], ctx)
+            assert np.array_equal(got, want)
 
 
 def product_berezin(G, w, ctx):
@@ -638,8 +680,9 @@ def product_berezin(G, w, ctx):
 @pytest.mark.parametrize("q", GRID_Q_VALUES)
 @pytest.mark.parametrize("l", (*range(2, 13), 16, 24))
 def test_berezin_route_equals_its_product_route(l, q, n):
-    """Bit for bit, signed zeros included: where sandwich copies a -0.0 the
-    products' scatter gives 0.0, and the sum into the result must hide it."""
+    """Bit for bit, signed zeros included: where the route reads a -0.0 of g
+    in place the products' scatter gives 0.0, and the sum into the result
+    must hide it."""
     ctx = AlgebraCtx(l, q)
     rng = np.random.default_rng([l, n, 32])
     w = rand_weights(rng, l)
