@@ -126,6 +126,19 @@ def _check_same_order(f: PGElement, g: PGElement):
         raise ValueError(f"order mismatch: {f.l} vs {g.l}")
 
 
+def index_tuples(l: int, rank: int, keep) -> tuple:
+    """The tuples of range(l)^rank that the mask keep(*open grid axes) keeps,
+    as rank index arrays in lexicographic order."""
+    return np.nonzero(keep(*np.ix_(*[np.arange(l)] * rank)))
+
+
+def frozen(*arrays) -> tuple:
+    """The arrays, read-only: an index table is cached and shared."""
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 @functools.lru_cache(maxsize=None)
 def product_support(l: int):
     """Index table of the exponent-adding product at order l.
@@ -135,12 +148,8 @@ def product_support(l: int):
     factor's position c*l+d, the phase exponent b*c, and the output position
     (a+c)*l+(b+d).  Each output cell receives its terms in increasing (a, b).
     """
-    a, b, c, d = np.ix_(*[np.arange(l)] * 4)
-    a, b, c, d = np.nonzero((a + c < l) & (b + d < l))
-    table = (a * l + b, c * l + d, b * c, (a + c) * l + (b + d))
-    for arr in table:
-        arr.flags.writeable = False
-    return table
+    a, b, c, d = index_tuples(l, 4, lambda a, b, c, d: (a + c < l) & (b + d < l))
+    return frozen(a * l + b, c * l + d, b * c, (a + c) * l + (b + d))
 
 
 def gather(T: np.ndarray, index: np.ndarray) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PGElement, aw_index, blocks, gather
+from .algebra import PGElement, aw_index, blocks, frozen, gather, index_tuples
 
 WEIGHT_PRESETS = ("ones", "factorial", "qfactorial")
 
@@ -80,12 +80,8 @@ def _gram_support(l: int):
     order, as three flat index arrays: the row a*l+b, the column c*l+d and the
     weight index a+d.
     """
-    a, b, c, d = np.ix_(*[np.arange(l)] * 4)
-    a, b, c, d = np.nonzero((a + d == b + c) & (a + d < l))
-    table = (aw_index(l, a, b), aw_index(l, c, d), a + d)
-    for arr in table:
-        arr.flags.writeable = False
-    return table
+    a, b, c, d = index_tuples(l, 4, lambda a, b, c, d: (a + d == b + c) & (a + d < l))
+    return frozen(aw_index(l, a, b), aw_index(l, c, d), a + d)
 
 
 # one entry: callers reuse a weight sequence's matrix only while they work with
@@ -137,13 +133,9 @@ def _berezin_support(l: int):
     as flat index arrays of the position of f*[a, b] in f (that is, b*l+a),
     the position of g[k-a, k-b] and the weight index k.
     """
-    m, a, b = np.ix_(*[np.arange(l)] * 3)
-    m, a, b = np.nonzero((a + m < l) & (b + m < l))
+    m, a, b = index_tuples(l, 3, lambda m, a, b: (a + m < l) & (b + m < l))
     k = l - 1 - m
-    table = (b * l + a, (k - a) * l + (k - b), k)
-    for arr in table:
-        arr.flags.writeable = False
-    return table
+    return frozen(b * l + a, (k - a) * l + (k - b), k)
 
 
 def _fsum_rows(x: np.ndarray) -> list:

@@ -5,7 +5,8 @@ basis (monomial th^a or orthonormal phi_a); operators on the full algebra are
 l^2 x l^2 matrices over the global row-major monomial ordering.
 
 As in the algebra module, a function named name_stack maps an (n, l, l) stack
-of coefficient tables to a stack of results, and name is its n = 1 case.
+of coefficient tables to a stack of results, and name is its n = 1 case.  The
+Toeplitz-family kernels take no q: th^a * g reorders no generator.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraCtx, PGElement, gather, product_support, scatter_sum, z_map
+from .algebra import (AlgebraCtx, PGElement, frozen, gather, index_tuples, product_support,
+                      scatter_sum, z_map)
 from .forms import WeightSeq, form_stack
 
 MONOMIAL = "monomial"
@@ -71,11 +73,8 @@ def _projection_support(l: int):
     """Index table of the kernel projection at order l: every (a, b) with
     a >= b, in lexicographic order, as flat index arrays of the monomial
     position a*l+b, the weight index a and the output index a-b."""
-    a, b = np.nonzero(np.greater_equal.outer(np.arange(l), np.arange(l)))
-    table = (a * l + b, a, a - b)
-    for arr in table:
-        arr.flags.writeable = False
-    return table
+    a, b = index_tuples(l, 2, lambda a, b: a >= b)
+    return frozen(a * l + b, a, a - b)
 
 
 def _project_column(C: np.ndarray, w: WeightSeq) -> np.ndarray:
@@ -180,18 +179,13 @@ def _toeplitz_support(l: int):
     i+a-j >= 0, in lexicographic order, as flat index arrays of the symbol
     position i*l+j, the weight indices i+a and i+a-j, and the output position
     (i+a-j)*l + a."""
-    i, j, a = np.ix_(*[np.arange(l)] * 3)
-    i, j, a = np.nonzero((i + a < l) & (i + a - j >= 0))
-    table = (i * l + j, i + a, i + a - j, (i + a - j) * l + a)
-    for arr in table:
-        arr.flags.writeable = False
-    return table
+    i, j, a = index_tuples(l, 3, lambda i, j, a: (i + a < l) & (i + a - j >= 0))
+    return frozen(i * l + j, i + a, i + a - j, (i + a - j) * l + a)
 
 
-def toeplitz_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx,
-                   mode: str = "closed") -> np.ndarray:
+def toeplitz_stack(G: np.ndarray, w: WeightSeq, mode: str = "closed") -> np.ndarray:
     """The monomial-basis Toeplitz matrices of an (n, l, l) stack of symbols."""
-    l = ctx.l
+    l = w.l
     n = len(G)
     if mode == "closed":
         symbol, num, den, cells = _toeplitz_support(l)
@@ -211,13 +205,14 @@ def toeplitz(g: PGElement, w: WeightSeq, ctx: AlgebraCtx, mode: str = "closed") 
     w_{i+a}/w_{i+a-j} at row i+a-j of column a whenever both i+a and i+a-j
     are in range.  mode="projection" takes column a to be the kernel
     projection of th^a * g, the image of th^a under right multiplication.
-    """
+    ctx is read only for its order."""
     if not (g.l == w.l == ctx.l):
         raise ValueError("order mismatch")
-    return OperatorBH(ctx.l, toeplitz_stack(g.coeffs[None], w, ctx, mode)[0], MONOMIAL)
+    return OperatorBH(ctx.l, toeplitz_stack(g.coeffs[None], w, mode)[0], MONOMIAL)
 
 
 def toeplitz_orthonormal(g: PGElement, w: WeightSeq, ctx: AlgebraCtx) -> OperatorBH:
+    """toeplitz on the orthonormal basis; ctx is read only for its order."""
     return convert_basis(toeplitz(g, w, ctx), w, ORTHONORMAL)
 
 
@@ -238,10 +233,9 @@ def toeplitz_adjoint(A: OperatorBH, w: WeightSeq) -> OperatorBH:
 
 # --- coherent-state and flat quantizations ---------------------------------
 
-def coherent_quantization_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx,
-                                mode: str = "closed") -> np.ndarray:
+def coherent_quantization_stack(G: np.ndarray, w: WeightSeq, mode: str = "closed") -> np.ndarray:
     """coherent_quantization of each symbol of an (n, l, l) stack."""
-    l = ctx.l
+    l = w.l
     n = len(G)
     if mode == "closed":
         # the Toeplitz table of the transposed symbol: its (i, j, a) is this
@@ -268,7 +262,7 @@ def coherent_quantization_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx,
 def coherent_quantization(g: PGElement, w: WeightSeq, ctx: AlgebraCtx,
                           mode: str = "closed") -> np.ndarray:
     """Quantization through the resolution of identity, on the auxiliary
-    basis e_a.
+    basis e_a; ctx is read only for its order.
 
     mode="closed": each symbol monomial th^i thb^j sends e_a to
     w_{j+a} / (w_{j-i+a} w_a)^{1/2} e_{j-i+a} when both j+a and j-i+a are in
@@ -278,10 +272,10 @@ def coherent_quantization(g: PGElement, w: WeightSeq, ctx: AlgebraCtx,
     """
     if not (g.l == w.l == ctx.l):
         raise ValueError("order mismatch")
-    return coherent_quantization_stack(g.coeffs[None], w, ctx, mode)[0]
+    return coherent_quantization_stack(g.coeffs[None], w, mode)[0]
 
 
-def toeplitz_flat_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx) -> np.ndarray:
+def toeplitz_flat_stack(G: np.ndarray, w: WeightSeq) -> np.ndarray:
     """toeplitz_flat of each symbol of an (n, l, l) stack."""
     sw = np.sqrt(w.arr())
     # g_k times the conjugated orthonormal element w_a^{-1/2} thb^a is g_k's
@@ -296,10 +290,10 @@ def toeplitz_flat_stack(G: np.ndarray, w: WeightSeq, ctx: AlgebraCtx) -> np.ndar
 def toeplitz_flat(g: PGElement, w: WeightSeq, ctx: AlgebraCtx) -> np.ndarray:
     """Left multiplication by g followed by the anti-holomorphic projection, on
     the conjugated orthonormal basis w_a^{-1/2} thb^a; the product g * thb^a
-    is g's table moved right a columns."""
+    is g's table moved right a columns.  ctx is read only for its order."""
     if not (g.l == w.l == ctx.l):
         raise ValueError("order mismatch")
-    return toeplitz_flat_stack(g.coeffs[None], w, ctx)[0]
+    return toeplitz_flat_stack(g.coeffs[None], w)[0]
 
 
 # --- ladder structure ------------------------------------------------------
@@ -315,7 +309,8 @@ class LadderSet:
 
 def ladder_set(w: WeightSeq, ctx: AlgebraCtx) -> LadderSet:
     """Creation (degree-raising), annihilation (weighted backward shift), and
-    the diagonal number operator with eigenvalues w_a / w_{a-1}."""
+    the diagonal number operator with eigenvalues w_a / w_{a-1}.  ctx is read
+    only for its order."""
     l = ctx.l
     creation = toeplitz(PGElement.basis(l, 1, 0), w, ctx)
     annihilation = toeplitz(PGElement.basis(l, 0, 1), w, ctx)
@@ -365,7 +360,7 @@ def span_rank(ops) -> int:
 
 def wick_rank_probe(w: WeightSeq, ctx: AlgebraCtx) -> int:
     """Rank of the span of the reverse-ordered products creation^i
-    annihilation^j; reported as informational only."""
+    annihilation^j, informational only; ctx is read only for its order."""
     l = ctx.l
     lad = ladder_set(w, ctx)
     return span_rank(np.linalg.matrix_power(lad.creation.matrix, i)

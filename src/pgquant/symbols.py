@@ -197,8 +197,7 @@ def parse(text: str) -> FreeExpr:
 
 
 def _fmt_real(x: float) -> str:
-    s = "%.12g" % x
-    return s
+    return "%.12g" % x
 
 
 def _fmt_coefficient(c: complex) -> tuple[str, str]:
@@ -238,7 +237,7 @@ def format_element(f: PGElement) -> str:
                 continue
             sign, body = _fmt_coefficient(c)
             mono = _monomial_text(i, j)
-            if mono and body == "1" and sign in ("+", "-"):
+            if mono and body == "1":
                 text = mono
             elif mono:
                 text = f"{body}*{mono}"

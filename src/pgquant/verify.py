@@ -317,8 +317,8 @@ def check_pk_projection(ctx, w, rng, tol):
 def check_toeplitz_dual_path(ctx, w, rng, tol):
     # every basis symbol, then 50 random ones
     symbols = np.concatenate([_basis_symbols(ctx.l), random_elements(rng, (50,), ctx.l)])
-    return _max_abs_each(toeplitz_stack(symbols, w, ctx, "closed")
-                         - toeplitz_stack(symbols, w, ctx, "projection"))
+    return _max_abs_each(toeplitz_stack(symbols, w, "closed")
+                         - toeplitz_stack(symbols, w, "projection"))
 
 
 def compression_samples(rng: np.random.Generator, n: int, l: int):
@@ -338,7 +338,7 @@ def check_compression_identity(ctx, w, rng, tol):
     g, f1, f2 = compression_samples(rng, 20, l)
     # one matrix-vector product per sample, as for a single sample; M_g is
     # built one symbol at a time
-    Tf2 = np.matmul(toeplitz_stack(g, w, ctx), f2[..., None])[..., 0]
+    Tf2 = np.matmul(toeplitz_stack(g, w), f2[..., None])[..., 0]
     Mg_f2 = np.array([mult_operator(PGElement(l, table), "right", ctx) @ v
                       for table, v in zip(g, _vec_bh(f2, l))])
     e1 = _vec_bh(f1, l).reshape(-1, l, l)
@@ -348,14 +348,14 @@ def check_compression_identity(ctx, w, rng, tol):
 
 
 def check_toeplitz_iso_rank(ctx, w, rng, tol):
-    if span_rank(toeplitz_stack(_basis_symbols(ctx.l), w, ctx)) != ctx.l * ctx.l:
+    if span_rank(toeplitz_stack(_basis_symbols(ctx.l), w)) != ctx.l * ctx.l:
         raise CheckFailure()
     return []
 
 
 def check_column_structure(ctx, w, rng, tol):
     l = ctx.l
-    M = toeplitz_stack(_basis_symbols(l), w, ctx)
+    M = toeplitz_stack(_basis_symbols(l), w)
     Mon = convert_basis_stack(M, w, ORTHONORMAL)
     # the column formula, entry by entry: T(th^i thb^j) holds w_{i+a}/w_{i+a-j}
     # at row i+a-j of column a, and nothing else
@@ -370,8 +370,8 @@ def check_column_structure(ctx, w, rng, tol):
 def check_adjoint_symbol_rule(ctx, w, rng, tol):
     l = ctx.l
     g = random_elements(rng, (50,), l)
-    lhs = toeplitz_adjoint_stack(toeplitz_stack(g, w, ctx), w)
-    residuals = _max_abs_each(lhs - toeplitz_stack(conjugate_stack(g), w, ctx))
+    lhs = toeplitz_adjoint_stack(toeplitz_stack(g, w), w)
+    residuals = _max_abs_each(lhs - toeplitz_stack(conjugate_stack(g), w))
     # corollary witnesses: a self-adjoint symbol gives a self-adjoint operator,
     # a non-self-adjoint symbol does not
     g_sa = PGElement.basis(l, 1, 0) + PGElement.basis(l, 0, 1) + PGElement.basis(l, 1, 1)
@@ -392,8 +392,8 @@ def check_multiplicativity(ctx, w, rng, tol):
     samples[:, :2][_THB_POWERS] = 0
     samples[:, 2:][_TH_POWERS] = 0
     a, b = samples[:, 0::2].reshape(-1, l, l), samples[:, 1::2].reshape(-1, l, l)
-    Ta, Tb = toeplitz_stack(a, w, ctx), toeplitz_stack(b, w, ctx)
-    Tab = toeplitz_stack(multiply_stack(a, b, ctx), w, ctx)
+    Ta, Tb = toeplitz_stack(a, w), toeplitz_stack(b, w)
+    Tab = toeplitz_stack(multiply_stack(a, b, ctx), w)
     scales = _max_abs_each(Tab)
     return _interleave(_relative(_max_abs_each(Ta @ Tb - Tab), scales),
                        _relative(_max_abs_each(Tb @ Ta - Tab), scales))
@@ -408,7 +408,7 @@ def _anti_wick_words(w, ctx) -> np.ndarray:
 
 
 def check_anti_wick_factorization(ctx, w, rng, tol):
-    return _max_abs_each(toeplitz_stack(_basis_symbols(ctx.l), w, ctx) - _anti_wick_words(w, ctx))
+    return _max_abs_each(toeplitz_stack(_basis_symbols(ctx.l), w) - _anti_wick_words(w, ctx))
 
 
 def check_operator_basis_rank(ctx, w, rng, tol):
@@ -421,14 +421,14 @@ def check_quantization_equivalences(ctx, w, rng, tol):
     l = ctx.l
     g = random_elements(rng, (50,), l)
     # the z map of a symbol is its transposed table
-    A = coherent_quantization_stack(np.swapaxes(g, 1, 2), w, ctx)
+    A = coherent_quantization_stack(np.swapaxes(g, 1, 2), w)
     residuals = _interleave(
-        _max_abs_each(A - convert_basis_stack(toeplitz_stack(g, w, ctx), w, ORTHONORMAL)),
-        _max_abs_each(toeplitz_flat_stack(g, w, ctx) - coherent_quantization_stack(g, w, ctx)))
+        _max_abs_each(A - convert_basis_stack(toeplitz_stack(g, w), w, ORTHONORMAL)),
+        _max_abs_each(toeplitz_flat_stack(g, w) - coherent_quantization_stack(g, w)))
     g = random_elements(rng, (10,), l)
-    residuals += _max_abs_each(coherent_quantization_stack(g, w, ctx, "closed")
-                               - coherent_quantization_stack(g, w, ctx, "berezin"))
-    if span_rank(coherent_quantization_stack(_basis_symbols(l), w, ctx)) != l * l:
+    residuals += _max_abs_each(coherent_quantization_stack(g, w, "closed")
+                               - coherent_quantization_stack(g, w, "berezin"))
+    if span_rank(coherent_quantization_stack(_basis_symbols(l), w)) != l * l:
         raise CheckFailure()
     return residuals
 
@@ -480,7 +480,7 @@ def check_number_operator(ctx, w, rng, tol):
 
 def check_diagonal_symbols(ctx, w, rng, tol):
     l = ctx.l
-    M = toeplitz_stack(_basis_symbols(l)[::l + 1], w, ctx)  # every T(th^i thb^i)
+    M = toeplitz_stack(_basis_symbols(l)[::l + 1], w)  # every T(th^i thb^i)
     diag = np.real(np.diagonal(M, axis1=1, axis2=2))
     expect = [[w.w[i + a] / w.w[a] if i + a < l else 0.0 for a in range(l)] for i in range(l)]
     if any(matrix_rank(m) != l - i for i, m in enumerate(M)):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from pgquant import (AlgebraCtx, Const, Gen, PGElement, Pow, Prod, QSym, Sum,
                      THETA, THETA_BAR, anti_wick_product, berezin_integral,
                      conjugate, from_free_expr, multiply, normal_order, z_map)
+from pgquant.verify import random_element
 
 
 def brute_force_order(word, ctx):
@@ -27,10 +28,6 @@ def brute_force_order(word, ctx):
     if a >= ctx.l or b >= ctx.l:
         return PGElement.zero(ctx.l)
     return PGElement.basis(ctx.l, a, b, coeff)
-
-
-def rand_element(rng, l):
-    return PGElement(l, rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l)))
 
 
 class TestNormalOrder:
@@ -92,7 +89,7 @@ class TestMultiply:
         rng = np.random.default_rng(7)
         ctx = AlgebraCtx(4, q)
         for _ in range(20):
-            f, g, h = (rand_element(rng, 4) for _ in range(3))
+            f, g, h = (random_element(rng, 4) for _ in range(3))
             lhs = multiply(multiply(f, g, ctx), h, ctx)
             rhs = multiply(f, multiply(g, h, ctx), ctx)
             scale = max(1.0, np.max(np.abs(rhs.coeffs)))
@@ -115,7 +112,7 @@ class TestConjugation:
     def test_involution(self):
         rng = np.random.default_rng(3)
         for l in (2, 3, 5):
-            f = rand_element(rng, l)
+            f = random_element(rng, l)
             assert np.allclose(conjugate(conjugate(f)).coeffs, f.coeffs)
 
     def test_star_rule_real_q_only(self):
@@ -155,7 +152,7 @@ class TestZMap:
 
     def test_involution(self):
         rng = np.random.default_rng(9)
-        f = rand_element(rng, 4)
+        f = random_element(rng, 4)
         assert np.allclose(z_map(z_map(f)).coeffs, f.coeffs)
 
 

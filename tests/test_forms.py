@@ -5,10 +5,7 @@ import pytest
 
 from pgquant import (AlgebraCtx, PGElement, WeightSeq, adjoint_wrt_form, form,
                      gram_matrix, multiply, orthonormal_phi, preset_weights)
-
-
-def rand_element(rng, l):
-    return PGElement(l, rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l)))
+from pgquant.verify import random_element
 
 
 W12 = WeightSeq(2, (1.0, 2.0))
@@ -101,7 +98,7 @@ class TestForm:
     def test_sesquilinear_first_slot(self):
         rng = np.random.default_rng(4)
         w = WeightSeq(3, (1.0, 0.7, 2.2))
-        f, g = rand_element(rng, 3), rand_element(rng, 3)
+        f, g = random_element(rng, 3), random_element(rng, 3)
         a = 1.5 - 0.5j
         assert form(a * f, g, w) == pytest.approx(np.conj(a) * form(f, g, w))
         assert form(f, a * g, w) == pytest.approx(a * form(f, g, w))
@@ -111,7 +108,7 @@ class TestForm:
         rng = np.random.default_rng(l)
         w = WeightSeq(l, tuple(rng.uniform(0.25, 4.0, l)))
         for _ in range(50):
-            f, g = rand_element(rng, l), rand_element(rng, l)
+            f, g = random_element(rng, l), random_element(rng, l)
             assert abs(form(f, g, w) - form(f, g, w, "definitional")) < 1e-12
 
 
@@ -128,7 +125,7 @@ class TestAdjoint:
             A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             Astar = adjoint_wrt_form(A, w)
             for _ in range(100):
-                f, g = rand_element(rng, l), rand_element(rng, l)
+                f, g = random_element(rng, l), random_element(rng, l)
                 lhs = form(PGElement.from_vector(l, A @ f.vector()), g, w)
                 rhs = form(f, PGElement.from_vector(l, Astar @ g.vector()), w)
                 assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)

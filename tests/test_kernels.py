@@ -10,7 +10,9 @@ route, also at orders the verify grid does not reach.  Where
 the loop is the route the table replaced, the comparison is exact: the table
 sums each output in the loop's order, so not a bit may move.  Each kernel's
 stacked form, on a stack of n tables, must equal n single calls bit for bit,
-and a stacked draw must give the samples of a loop of single draws.
+and a stacked draw must give the samples of a loop of single draws.  Each
+index table must list the tuples a Python enumeration keeps, and the Toeplitz
+family, which reads no q, must give the same bytes at every grid q.
 """
 import itertools
 import math
@@ -29,21 +31,19 @@ from pgquant import (MONOMIAL, ORTHONORMAL, AlgebraCtx, Const, Gen, OperatorBH,
                      PGElement, Pow, Sum, THETA, THETA_BAR, WeightSeq,
                      adjoint_wrt_form, anti_wick_product, aw_index,
                      coherent_quantization, conjugate, convert_basis, form,
-                     from_free_expr, gram_matrix, mult_operator, multiply,
+                     from_free_expr, gram_matrix, ladder_set, mult_operator, multiply,
                      normal_order, pk_operator, project_pk, project_pk_bar,
-                     toeplitz, toeplitz_adjoint, toeplitz_flat)
-from pgquant.algebra import conjugate_stack, multiply_stack, scatter_sum
-from pgquant.forms import _charge_hankels, form_stack, preset_weights
-from pgquant.quantization import (coherent_quantization_stack, convert_basis_stack,
+                     toeplitz, toeplitz_adjoint, toeplitz_flat, toeplitz_orthonormal)
+from pgquant.algebra import conjugate_stack, multiply_stack, product_support, scatter_sum
+from pgquant.forms import (_berezin_support, _charge_hankels, _gram_support, form_stack,
+                           preset_weights)
+from pgquant.quantization import (_projection_support, _toeplitz_support,
+                                  coherent_quantization_stack, convert_basis_stack,
                                   project_pk_stack,
                                   toeplitz_adjoint_stack, toeplitz_flat_stack, toeplitz_stack)
 from pgquant.verify import GRID_QS, compression_samples, random_element, random_elements
 
 GRID_Q_VALUES = [q for _, q in GRID_QS]
-
-
-def rand_element(rng, l):
-    return PGElement(l, rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l)))
 
 
 def rand_weights(rng, l):
@@ -54,10 +54,71 @@ def rand_sparse_element(rng, l):
     """A dense random element with about a third of its coefficients exactly
     zero (some as -0.0): the loops below skip zero coefficients, the tables
     do not, and that must not move a bit."""
-    table = rand_element(rng, l).coeffs.copy()
+    table = random_element(rng, l).coeffs.copy()
     zero = rng.random((l, l)) < 0.35
     table[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
     return PGElement(l, table)
+
+
+# --- the index tables, enumerated one tuple at a time --------------------------
+
+# each table: its function, the tuple rank, the kept tuples and the columns of
+# one tuple, written out from the table's docstring
+INDEX_TABLES = {
+    "product": (product_support, 4,
+                lambda l, a, b, c, d: a + c < l and b + d < l,
+                lambda l, a, b, c, d: (a * l + b, c * l + d, b * c, (a + c) * l + (b + d))),
+    "gram": (_gram_support, 4,
+             lambda l, a, b, c, d: a + d == b + c and a + d < l,
+             lambda l, a, b, c, d: (a * l + b, c * l + d, a + d)),
+    "berezin": (_berezin_support, 3,
+                lambda l, m, a, b: a + m < l and b + m < l,
+                lambda l, m, a, b: (b * l + a, (l - 1 - m - a) * l + (l - 1 - m - b),
+                                    l - 1 - m)),
+    "projection": (_projection_support, 2,
+                   lambda l, a, b: a >= b,
+                   lambda l, a, b: (a * l + b, a, a - b)),
+    "toeplitz": (_toeplitz_support, 3,
+                 lambda l, i, j, a: i + a < l and i + a - j >= 0,
+                 lambda l, i, j, a: (i * l + j, i + a, i + a - j, (i + a - j) * l + a)),
+}
+
+
+@pytest.mark.parametrize("name", INDEX_TABLES)
+@pytest.mark.parametrize("l", range(2, 8))
+def test_index_table_equals_its_tuple_enumeration(l, name):
+    """Every kept tuple in lexicographic order, its columns computed in
+    Python; the table is read-only and the cache hands out one object."""
+    support, rank, keep, columns = INDEX_TABLES[name]
+    rows = [columns(l, *t) for t in itertools.product(range(l), repeat=rank) if keep(l, *t)]
+    table = support(l)
+    assert len(table) == len(rows[0])
+    for k, column in enumerate(table):
+        assert column.tolist() == [row[k] for row in rows]
+        assert not column.flags.writeable
+    assert support(l) is table
+
+
+@pytest.mark.parametrize("l", (2, 3, 5, 7, 12))
+def test_toeplitz_family_does_not_depend_on_q(l):
+    """th^a * g and g * thb^a reorder no generator, so T_g, the coherent and
+    flat maps and the ladder operators depend on the weights alone: the same
+    bytes at every grid q."""
+    rng = np.random.default_rng([l, 33])
+    w = rand_weights(rng, l)
+    g = rand_sparse_element(rng, l)
+
+    def outputs(ctx):
+        ladder = ladder_set(w, ctx)
+        return [toeplitz(g, w, ctx, "closed").matrix, toeplitz(g, w, ctx, "projection").matrix,
+                toeplitz_orthonormal(g, w, ctx).matrix,
+                coherent_quantization(g, w, ctx, "closed"),
+                coherent_quantization(g, w, ctx, "berezin"), toeplitz_flat(g, w, ctx),
+                ladder.creation.matrix, ladder.annihilation.matrix, ladder.number.matrix]
+
+    want = [M.tobytes() for M in outputs(AlgebraCtx(l, GRID_Q_VALUES[0]))]
+    for q in GRID_Q_VALUES[1:]:
+        assert [M.tobytes() for M in outputs(AlgebraCtx(l, q))] == want
 
 
 # --- the per-entry loops the index tables replaced, kept as references -------
@@ -429,7 +490,7 @@ def test_mult_operator_matches_multiply(l, q):
     ctx = AlgebraCtx(l, q)
     rng = np.random.default_rng([l, 11])
     for _ in range(3):
-        F, g = rand_element(rng, l), rand_element(rng, l)
+        F, g = random_element(rng, l), random_element(rng, l)
         right = mult_operator(g, "right", ctx) @ F.vector()
         left = mult_operator(g, "left", ctx) @ F.vector()
         np.testing.assert_allclose(right, multiply(F, g, ctx).vector(), rtol=1e-12, atol=1e-12)
@@ -457,7 +518,7 @@ def test_toeplitz_closed_matches_projection_at_l9(q):
     ctx = AlgebraCtx(l, q)
     rng = np.random.default_rng([l, 12])
     w = rand_weights(rng, l)
-    for g in [rand_element(rng, l) for _ in range(3)] + [PGElement.basis(l, 4, 2)]:
+    for g in [random_element(rng, l) for _ in range(3)] + [PGElement.basis(l, 4, 2)]:
         closed = toeplitz(g, w, ctx, "closed").matrix
         projection = toeplitz(g, w, ctx, "projection").matrix
         np.testing.assert_allclose(closed, projection, rtol=1e-9, atol=1e-9)
@@ -469,7 +530,7 @@ def test_berezin_route_matches_closed(l, q):
     ctx = AlgebraCtx(l, q)
     rng = np.random.default_rng([l, 13])
     w = WeightSeq(l, tuple(rng.uniform(0.8, 1.25, l)))
-    g = rand_element(rng, l)
+    g = random_element(rng, l)
     berezin = coherent_quantization(g, w, ctx, "berezin")
     closed = coherent_quantization(g, w, ctx, "closed")
     np.testing.assert_allclose(berezin, closed, rtol=1e-9, atol=1e-9)
@@ -479,7 +540,7 @@ def test_berezin_route_matches_closed(l, q):
 def test_closed_form_and_gram_match_the_quadruple_sum(l):
     rng = np.random.default_rng([l, 14])
     w = rand_weights(rng, l)
-    f, g = rand_element(rng, l), rand_element(rng, l)
+    f, g = random_element(rng, l), random_element(rng, l)
     G = np.zeros((l * l, l * l))
     want = 0j
     for a, b, c, d in itertools.product(range(l), repeat=4):
@@ -495,7 +556,7 @@ def test_closed_form_and_gram_match_the_quadruple_sum(l):
 @pytest.mark.parametrize("l", (2, 4, 7))
 def test_anti_wick_product_is_the_truncated_convolution(l):
     rng = np.random.default_rng([l, 15])
-    f, g = rand_element(rng, l), rand_element(rng, l)
+    f, g = random_element(rng, l), random_element(rng, l)
     want = np.zeros((l, l), dtype=complex)
     for a, b, c, d in itertools.product(range(l), repeat=4):
         if a + c < l and b + d < l:
@@ -588,18 +649,18 @@ def test_stacked_kernels_equal_single_calls(l, q, n):
     for mode in ("closed", "definitional"):
         assert np.array_equal(form_stack(F, G, w, mode), [form(f, g, w, mode) for f, g in pairs])
     for mode in ("closed", "projection"):
-        assert np.array_equal(toeplitz_stack(G, w, ctx, mode),
+        assert np.array_equal(toeplitz_stack(G, w, mode),
                               each(lambda g: toeplitz(g, w, ctx, mode).matrix, G))
     for mode in ("closed", "berezin"):
-        assert np.array_equal(coherent_quantization_stack(G, w, ctx, mode),
+        assert np.array_equal(coherent_quantization_stack(G, w, mode),
                               each(lambda g: coherent_quantization(g, w, ctx, mode), G))
     for mode in ("closed", "kernel"):
         assert np.array_equal(project_pk_stack(F, w, mode),
                               each(lambda f: project_pk(f, w, mode).coeffs, F))
-    assert np.array_equal(toeplitz_flat_stack(G, w, ctx),
+    assert np.array_equal(toeplitz_flat_stack(G, w),
                           each(lambda g: toeplitz_flat(g, w, ctx), G))
     assert np.array_equal(conjugate_stack(F), each(lambda f: conjugate(f).coeffs, F))
-    T = toeplitz_stack(G, w, ctx)
+    T = toeplitz_stack(G, w)
     assert np.array_equal(toeplitz_adjoint_stack(T, w), [
         toeplitz_adjoint(OperatorBH(l, M, MONOMIAL), w).matrix for M in T])
     for target in (ORTHONORMAL, MONOMIAL):
@@ -687,7 +748,7 @@ def test_berezin_route_equals_its_product_route(l, q, n):
     rng = np.random.default_rng([l, n, 32])
     w = rand_weights(rng, l)
     G = sparse_stack(rng, l, n)
-    got = coherent_quantization_stack(G, w, ctx, "berezin")
+    got = coherent_quantization_stack(G, w, "berezin")
     assert got.tobytes() == product_berezin(G, w, ctx).tobytes()
 
 

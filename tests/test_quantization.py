@@ -7,15 +7,12 @@ from pgquant import (AlgebraCtx, MONOMIAL, ORTHONORMAL, OperatorBH, PGElement, W
                      mult_operator, multiply, operator_norm_bh, pk_operator,
                      project_pk, toeplitz, toeplitz_adjoint, toeplitz_flat,
                      toeplitz_orthonormal, wick_rank_probe, z_map)
+from pgquant.verify import random_element
 
 W12 = WeightSeq(2, (1.0, 2.0))
 CTX2 = AlgebraCtx(2, 1.0)
 W112 = WeightSeq(3, (1.0, 1.0, 2.0))
 CTX3 = AlgebraCtx(3, 1.0)
-
-
-def rand_element(rng, l):
-    return PGElement(l, rng.standard_normal((l, l)) + 1j * rng.standard_normal((l, l)))
 
 
 class TestProjection:
@@ -37,7 +34,7 @@ class TestProjection:
     def test_modes_agree(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            f = rand_element(rng, 3)
+            f = random_element(rng, 3)
             closed = project_pk(f, W112, "closed")
             kernel = project_pk(f, W112, "kernel")
             assert np.allclose(closed.coeffs, kernel.coeffs, atol=1e-12)
@@ -68,7 +65,7 @@ class TestMultOperator:
     def test_composition_law(self):
         rng = np.random.default_rng(3)
         ctx = AlgebraCtx(3, 0.5 + 0.2j)
-        g1, g2 = rand_element(rng, 3), rand_element(rng, 3)
+        g1, g2 = random_element(rng, 3), random_element(rng, 3)
         lhs = mult_operator(g1, "right", ctx) @ mult_operator(g2, "right", ctx)
         rhs = mult_operator(multiply(g2, g1, ctx), "right", ctx)
         assert np.allclose(lhs, rhs, atol=1e-12)
@@ -76,7 +73,7 @@ class TestMultOperator:
     def test_matches_direct_multiplication(self):
         rng = np.random.default_rng(4)
         ctx = AlgebraCtx(3, np.exp(1j * np.pi / 5))
-        g, f = rand_element(rng, 3), rand_element(rng, 3)
+        g, f = random_element(rng, 3), random_element(rng, 3)
         for side, want in (("right", multiply(f, g, ctx)),
                            ("left", multiply(g, f, ctx))):
             got = mult_operator(g, side, ctx) @ f.vector()
@@ -115,7 +112,7 @@ class TestToeplitz:
             ctx = AlgebraCtx(4, q)
             w = WeightSeq(4, tuple(rng.uniform(0.3, 3.0, 4)))
             for _ in range(25):
-                g = rand_element(rng, 4)
+                g = random_element(rng, 4)
                 closed = toeplitz(g, w, ctx, "closed").matrix
                 proj = toeplitz(g, w, ctx, "projection").matrix
                 assert np.allclose(closed, proj, atol=1e-10)
@@ -191,7 +188,7 @@ class TestToeplitzAdjoint:
             ctx = AlgebraCtx(3, q)
             w = WeightSeq(3, tuple(rng.uniform(0.4, 2.0, 3)))
             for _ in range(50):
-                g = rand_element(rng, 3)
+                g = random_element(rng, 3)
                 lhs = toeplitz_adjoint(toeplitz(g, w, ctx), w).matrix
                 rhs = toeplitz(conjugate(g), w, ctx).matrix
                 assert np.allclose(lhs, rhs, atol=1e-10)
@@ -224,7 +221,7 @@ class TestCoherentAndFlat:
             ctx = AlgebraCtx(3, q)
             w = WeightSeq(3, tuple(rng.uniform(0.4, 2.5, 3)))
             for _ in range(10):
-                g = rand_element(rng, 3)
+                g = random_element(rng, 3)
                 closed = coherent_quantization(g, w, ctx, "closed")
                 berezin = coherent_quantization(g, w, ctx, "berezin")
                 assert np.allclose(closed, berezin, atol=1e-10)
@@ -235,7 +232,7 @@ class TestCoherentAndFlat:
             ctx = AlgebraCtx(l, 0.5)
             w = WeightSeq(l, tuple(rng.uniform(0.4, 2.5, l)))
             for _ in range(20):
-                g = rand_element(rng, l)
+                g = random_element(rng, l)
                 A = coherent_quantization(z_map(g), w, ctx)
                 assert np.allclose(A, toeplitz_orthonormal(g, w, ctx).matrix,
                                    atol=1e-10)
@@ -251,7 +248,7 @@ class TestCoherentAndFlat:
                     assert np.allclose(toeplitz_flat(g, w, ctx),
                                        coherent_quantization(g, w, ctx), atol=1e-12)
             for _ in range(20):
-                g = rand_element(rng, l)
+                g = random_element(rng, l)
                 assert np.allclose(toeplitz_flat(g, w, ctx),
                                    coherent_quantization(g, w, ctx), atol=1e-10)
 
@@ -364,7 +361,7 @@ class TestCompressionIdentity:
         w = WeightSeq(l, tuple(rng.uniform(0.4, 2.5, l)))
         ctx = AlgebraCtx(l, np.exp(1j * np.pi / 3))
         for _ in range(20):
-            g = rand_element(rng, l)
+            g = random_element(rng, l)
             T = toeplitz(g, w, ctx).matrix
             Mg = mult_operator(g, "right", ctx)
             f1 = rng.standard_normal(l) + 1j * rng.standard_normal(l)
