@@ -1,9 +1,8 @@
 """Toeplitz and coherent-state quantization on a finite paragrassmann algebra."""
 
 from .algebra import (AlgebraCtx, Const, FreeExpr, Gen, Neg, PGElement, Pow,
-                      Prod, QSym, Sum, THETA, THETA_BAR, anti_wick_product,
-                      aw_index, berezin_integral, conjugate, from_free_expr,
-                      multiply, normal_order, z_map)
+                      Prod, QSym, Sum, THETA, THETA_BAR, conjugate,
+                      from_free_expr, multiply, normal_order, z_map)
 from .forms import (WeightSeq, adjoint_wrt_form, form, gram_matrix,
                     orthonormal_phi, preset_weights)
 from .quantization import (LadderSet, MONOMIAL, ORTHONORMAL, OperatorBH,

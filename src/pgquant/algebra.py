@@ -55,11 +55,6 @@ class AlgebraCtx:
         return pows
 
 
-def aw_index(l: int, i: int, j: int) -> int:
-    """Flat position of the basis monomial th^i*thb^j (row-major, i*l + j)."""
-    return i * l + j
-
-
 @dataclass(frozen=True, eq=False)
 class PGElement:
     """Element of the algebra: coeffs[i, j] multiplies th^i * thb^j."""
@@ -241,12 +236,6 @@ def multiply(f: PGElement, g: PGElement, ctx: AlgebraCtx) -> PGElement:
     return PGElement(l, multiply_stack(f.coeffs[None], g.coeffs[None], ctx)[0])
 
 
-def anti_wick_product(f: PGElement, g: PGElement) -> PGElement:
-    """Exponent-adding product with no q factor; a plain truncated convolution.
-    It is the algebra product at q = 1."""
-    return multiply(f, g, AlgebraCtx(f.l))
-
-
 def conjugate_stack(F: np.ndarray) -> np.ndarray:
     """The conjugates of an (n, l, l) stack: each table's conjugate transpose."""
     return np.conj(np.swapaxes(F, 1, 2))
@@ -260,11 +249,6 @@ def conjugate(f: PGElement) -> PGElement:
 def z_map(f: PGElement) -> PGElement:
     """Linear basis swap th^i thb^j -> th^j thb^i, coefficients untouched."""
     return PGElement(f.l, f.coeffs.T)
-
-
-def berezin_integral(f: PGElement) -> complex:
-    """The coefficient of the top monomial th^{l-1} thb^{l-1}."""
-    return complex(f.coeffs[f.l - 1, f.l - 1])
 
 
 # --- free (unreduced) symbol expressions -----------------------------------

@@ -116,17 +116,16 @@ def _symbol(args, ctx: AlgebraCtx):
 
 
 # The --which kinds in usage-line order: the basis label of the matrix and its
-# builder from (g, w, ctx), where g() is the --symbol element; pk never calls
-# it.  A builder looks its function up when it runs, so a rebound function is
-# used.
+# builder from (g, w, ctx), where g is the --symbol element; pk ignores it.  A
+# builder looks its function up when it runs, so a rebound function is used.
 MATRIX_KINDS = {
-    "toeplitz": ("monomial", lambda g, w, ctx: toeplitz(g(), w, ctx).matrix),
-    "toeplitz-on": ("orthonormal", lambda g, w, ctx: toeplitz_orthonormal(g(), w, ctx).matrix),
-    "coherent": ("orthonormal", lambda g, w, ctx: coherent_quantization(g(), w, ctx)),
-    "flat": ("orthonormal", lambda g, w, ctx: toeplitz_flat(g(), w, ctx)),
+    "toeplitz": ("monomial", lambda g, w, ctx: toeplitz(g, w, ctx).matrix),
+    "toeplitz-on": ("orthonormal", lambda g, w, ctx: toeplitz_orthonormal(g, w, ctx).matrix),
+    "coherent": ("orthonormal", lambda g, w, ctx: coherent_quantization(g, w, ctx)),
+    "flat": ("orthonormal", lambda g, w, ctx: toeplitz_flat(g, w, ctx)),
     "pk": ("aw", lambda g, w, ctx: pk_operator(w)),
-    "mult-left": ("aw", lambda g, w, ctx: mult_operator(g(), "left", ctx)),
-    "mult-right": ("aw", lambda g, w, ctx: mult_operator(g(), "right", ctx)),
+    "mult-left": ("aw", lambda g, w, ctx: mult_operator(g, "left", ctx)),
+    "mult-right": ("aw", lambda g, w, ctx: mult_operator(g, "right", ctx)),
 }
 
 
@@ -136,10 +135,9 @@ def cmd_matrix(args) -> int:
     w = parse_weights(args.weights, args.l, q)
     basis, build = MATRIX_KINDS[args.which]
     # a given --symbol is parsed and checked for every kind, pk included, which
-    # then drops it; a missing one is an error only for the kinds that call g()
-    g = None if args.symbol is None else _symbol(args, ctx)
-    M = _finite(f"the {args.which} matrix",
-                build(lambda: _symbol(args, ctx) if g is None else g, w, ctx))
+    # then drops it; a missing one is an error for every kind but pk
+    g = None if args.symbol is None and args.which == "pk" else _symbol(args, ctx)
+    M = _finite(f"the {args.which} matrix", build(g, w, ctx))
     return _emit_matrix(args, q, w, basis, M)
 
 
@@ -195,12 +193,15 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    seed = args.seed
+    seed, source = args.seed, "--seed"
     if os.environ.get("PG_SEED"):
+        source = "PG_SEED"
         try:
             seed = int(os.environ["PG_SEED"])
         except ValueError:
             raise ConfigError("PG_SEED must be an integer")
+    if seed < 0:
+        raise ConfigError(f"{source} must be a non-negative integer, got {seed}")
     if not 0 < args.tolerance < math.inf:
         raise ConfigError(f"--tolerance must be finite and > 0, got {args.tolerance!r}")
     ls = (args.l,) if args.l else verify_mod.GRID_LS

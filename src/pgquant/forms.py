@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PGElement, aw_index, blocks, frozen, gather, index_tuples
+from .algebra import PGElement, blocks, frozen, gather, index_tuples
 
 WEIGHT_PRESETS = ("ones", "factorial", "qfactorial")
 
@@ -32,16 +32,6 @@ class WeightSeq:
         if not all(0 < x < math.inf for x in w):
             raise ValueError("weights must be finite and strictly positive")
         object.__setattr__(self, "w", w)
-
-    def ratio(self, num: int, den: int) -> float:
-        """w_num / w_den, defined as 0 when either index is out of range.
-
-        The entry-by-entry reference loops in the tests read it; the package's
-        own kernels index the weight array through their range-guarded tables.
-        """
-        if 0 <= num < self.l and 0 <= den < self.l:
-            return self.w[num] / self.w[den]
-        return 0.0
 
     def arr(self) -> np.ndarray:
         return np.array(self.w)
@@ -81,7 +71,7 @@ def _gram_support(l: int):
     weight index a+d.
     """
     a, b, c, d = index_tuples(l, 4, lambda a, b, c, d: (a + d == b + c) & (a + d < l))
-    return frozen(aw_index(l, a, b), aw_index(l, c, d), a + d)
+    return frozen(a * l + b, c * l + d, a + d)
 
 
 # one entry: callers reuse a weight sequence's matrix only while they work with

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pgquant import (AlgebraCtx, Const, Gen, PGElement, Pow, Prod, QSym, Sum,
-                     THETA, THETA_BAR, anti_wick_product, berezin_integral,
-                     conjugate, from_free_expr, multiply, normal_order, z_map)
+                     THETA, THETA_BAR, conjugate, from_free_expr, multiply,
+                     normal_order, z_map)
 from pgquant.verify import random_element
 
 
@@ -156,33 +156,22 @@ class TestZMap:
         assert np.allclose(z_map(z_map(f)).coeffs, f.coeffs)
 
 
-class TestAntiWickProduct:
+class TestMultiplyAtQOne:
+    """At q = 1 the product is the anti-Wick product, a truncated convolution."""
+
     def test_no_q_factor(self):
         m = PGElement.basis(3, 1, 1)
-        out = anti_wick_product(m, m)
+        out = multiply(m, m, AlgebraCtx(3))
         assert out.coefficient(2, 2) == pytest.approx(1.0)
 
     def test_simple(self):
-        out = anti_wick_product(PGElement.basis(2, 1, 0), PGElement.basis(2, 0, 1))
+        out = multiply(PGElement.basis(2, 1, 0), PGElement.basis(2, 0, 1), AlgebraCtx(2))
         assert out.coefficient(1, 1) == pytest.approx(1.0)
 
     def test_overflow_is_zero(self):
         for l in (2, 3):
-            out = anti_wick_product(PGElement.basis(l, 1, 0), PGElement.basis(l, l - 1, 0))
+            out = multiply(PGElement.basis(l, 1, 0), PGElement.basis(l, l - 1, 0), AlgebraCtx(l))
             assert np.all(out.coeffs == 0)
-
-
-class TestBerezinIntegral:
-    def test_top_coefficient(self):
-        f = 3.0 * PGElement.basis(2, 1, 1) + 5.0 * PGElement.one(2)
-        assert berezin_integral(f) == 3.0
-
-    def test_off_top_vanishes(self):
-        for l in (2, 3, 4):
-            assert berezin_integral(PGElement.basis(l, l - 1, max(l - 2, 0))) == 0.0
-
-    def test_complex_coefficient(self):
-        assert berezin_integral(PGElement.basis(3, 2, 2, 4 - 1j)) == 4 - 1j
 
 
 class TestFreeExpr:

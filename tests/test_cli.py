@@ -155,10 +155,10 @@ class TestMatrixCommand:
         argv = ("matrix", "--l", "3", "--weights", "factorial", "--which", "pk")
         assert run(capsys, *argv, "--symbol", "th*thb - 2i") == run(capsys, *argv)
 
-    def test_missing_symbol_exit_2(self, capsys):
-        code, _, err = run(capsys, "matrix", "--l", "2", "--q", "1",
-                           "--weights", "1,2", "--which", "toeplitz")
-        assert code == 2 and "symbol" in err
+    @pytest.mark.parametrize("which", [k for k in MATRIX_KINDS if k != "pk"])
+    def test_missing_symbol_exit_2(self, capsys, which):
+        assert run(capsys, "matrix", "--l", "2", "--q", "1", "--weights", "1,2",
+                   "--which", which) == (2, "", f"error: --symbol is required for --which {which}\n")
 
     def test_bad_weights_exit_2(self, capsys):
         code, _, err = run(capsys, "matrix", "--l", "3", "--q", "1",
@@ -529,3 +529,14 @@ class TestVerifyCommand:
         monkeypatch.setenv("PG_SEED", "nope")
         code, _, err = run(capsys, *argv)
         assert code == 2 and "PG_SEED" in err
+
+    @pytest.mark.parametrize("env,option,source", [
+        ({}, ("--seed", "-1"), "--seed"),
+        ({"PG_SEED": "-1"}, (), "PG_SEED"),
+    ], ids=["option", "variable"])
+    def test_negative_seed_names_its_source(self, capsys, monkeypatch, env, option, source):
+        monkeypatch.delenv("PG_SEED", raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert run(capsys, "verify", "--l", "2", "--q", "1", "--weights", "ones", *option) == (
+            2, "", f"error: {source} must be a non-negative integer, got -1\n")

@@ -1,10 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 
-from pgquant import (AlgebraCtx, PGElement, WeightSeq, adjoint_wrt_form, form,
-                     gram_matrix, multiply, orthonormal_phi, preset_weights)
+from pgquant import (PGElement, WeightSeq, adjoint_wrt_form, form, gram_matrix,
+                     orthonormal_phi, preset_weights)
 from pgquant.verify import random_element
 
 
@@ -19,9 +17,6 @@ class TestWeightSeq:
     def test_length_checked(self):
         with pytest.raises(ValueError):
             WeightSeq(3, (1.0, 2.0))
-
-    def test_out_of_range_reads_zero(self):
-        assert W12.ratio(0, -1) == 0.0  # the w_0 / w_{-1} convention
 
     def test_presets(self):
         assert preset_weights("ones", 4).w == (1.0,) * 4

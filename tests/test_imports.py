@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used by its module, and every
-module-level private name is read somewhere in the package.
+"""Every module-level import in the package and in the tests is used by its
+module, and every module-level private name is read somewhere in its own
+directory: the package's names in the package, the tests' names in the tests.
 
 The package re-exports its public names from __init__.py, so that module is
 exempt from the import check.
@@ -9,7 +10,9 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "pgquant"
+TESTS = pathlib.Path(__file__).resolve().parent
+ROOT = TESTS.parent
+PACKAGE = ROOT / "src" / "pgquant"
 
 
 def unused_imports(source: str) -> list:
@@ -29,10 +32,11 @@ def test_the_check_sees_an_unused_import():
                           "from . import a, b\nprint(system, b)\n") == ["os", "a"]
 
 
-@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")
+@pytest.mark.parametrize("path", sorted(p.relative_to(ROOT).as_posix()
+                                        for p in [*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]
                                         if p.name != "__init__.py"))
 def test_no_unused_module_level_import(path):
-    assert unused_imports((PACKAGE / path).read_text()) == []
+    assert unused_imports((ROOT / path).read_text()) == []
 
 
 def orphaned_private_names(sources: dict) -> list:
@@ -66,6 +70,7 @@ def test_the_check_sees_an_orphaned_private_helper():
     assert orphaned_private_names(sources) == [("a.py", "_orphan"), ("a.py", "_LEFT")]
 
 
-def test_no_orphaned_private_helper():
-    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+@pytest.mark.parametrize("directory", ("src/pgquant", "tests"))
+def test_no_orphaned_private_helper(directory):
+    sources = {p.name: p.read_text() for p in (ROOT / directory).glob("*.py")}
     assert orphaned_private_names(sources) == []

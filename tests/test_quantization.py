@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pgquant import (AlgebraCtx, MONOMIAL, ORTHONORMAL, OperatorBH, PGElement, WeightSeq,
-                     adjoint_wrt_form, aw_index, coherent_quantization,
+                     adjoint_wrt_form, coherent_quantization,
                      conjugate, convert_basis, form, ladder_set, matrix_rank,
                      mult_operator, multiply, operator_norm_bh, pk_operator,
                      project_pk, toeplitz, toeplitz_adjoint, toeplitz_flat,
@@ -41,9 +41,9 @@ class TestProjection:
 
     def test_operator_column_example(self):
         P = pk_operator(W12)
-        col = P[:, aw_index(2, 1, 1)]
+        col = P[:, 1 * 2 + 1]  # the column of th*thb
         want = np.zeros(4, complex)
-        want[aw_index(2, 0, 0)] = 2.0
+        want[0] = 2.0  # on the unit
         assert np.allclose(col, want)
 
     def test_idempotent_selfadjoint_rank(self):
@@ -146,10 +146,14 @@ class TestBasisConversion:
     def test_round_trip(self):
         rng = np.random.default_rng(7)
         w = WeightSeq(3, (1.0, 2.5, 0.4))
-        from pgquant import OperatorBH
         A = OperatorBH(3, rng.standard_normal((3, 3)), MONOMIAL)
         back = convert_basis(convert_basis(A, w, ORTHONORMAL), w, MONOMIAL)
         assert np.allclose(back.matrix, A.matrix)
+
+    def test_unknown_target_tag(self):
+        A = OperatorBH(2, np.eye(2), MONOMIAL)
+        with pytest.raises(ValueError, match="^unknown basis tag 'bogus'$"):
+            convert_basis(A, W12, "bogus")
 
     def test_orthonormal_entries(self):
         Ton = toeplitz_orthonormal(PGElement.basis(2, 1, 0), W12, CTX2)
@@ -369,7 +373,7 @@ class TestCompressionIdentity:
 
             def embed(x):
                 vec = np.zeros(l * l, complex)
-                vec[[aw_index(l, a, 0) for a in range(l)]] = x
+                vec[[a * l for a in range(l)]] = x
                 return PGElement.from_vector(l, vec)
 
             lhs = form(embed(f1), embed(T @ f2), w)

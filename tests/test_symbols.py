@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgquant import (AlgebraCtx, Const, Gen, Neg, PGElement, ParseError, Pow,
+from pgquant import (AlgebraCtx, Gen, Neg, PGElement, ParseError, Pow,
                      Prod, QSym, Sum, THETA, THETA_BAR, format_element,
                      from_free_expr, parse)
 from pgquant.symbols import MAX_DEPTH, Token, tokenize
