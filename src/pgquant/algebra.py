@@ -219,6 +219,10 @@ def multiply_stack(F: np.ndarray, G: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
     left, right, bc, cells = product_support(l)
     phases = ctx.qinv_powers[bc][None]
     n = max(len(F), len(G))
+    if n <= max(1, BLOCK_TERMS // len(cells)):
+        # one block: the whole stack in one pass
+        return scatter_sum(cells, gather(F, left) * phases * gather(G, right),
+                           l * l).reshape(n, l, l)
     out = np.empty((n, l * l), dtype=complex)
     for rows in blocks(n, len(cells)):
         f = F if len(F) == 1 else F[rows]
@@ -227,13 +231,18 @@ def multiply_stack(F: np.ndarray, G: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
     return out.reshape(n, l, l)
 
 
+def _times(f: np.ndarray, g: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
+    """The product of two (l, l) tables."""
+    return multiply_stack(f[None], g[None], ctx)[0]
+
+
 def multiply(f: PGElement, g: PGElement, ctx: AlgebraCtx) -> PGElement:
     """Algebra product: (th^a thb^b)(th^c thb^d) = q^{-bc} th^{a+c} thb^{b+d}."""
     _check_same_order(f, g)
     l = f.l
     if ctx.l != l:
         raise ValueError(f"order mismatch: elements {l} vs context {ctx.l}")
-    return PGElement(l, multiply_stack(f.coeffs[None], g.coeffs[None], ctx)[0])
+    return PGElement(l, _times(f.coeffs, g.coeffs, ctx))
 
 
 def conjugate_stack(F: np.ndarray) -> np.ndarray:
@@ -305,35 +314,47 @@ class Neg(FreeExpr):
 
 def from_free_expr(e: FreeExpr, ctx: AlgebraCtx) -> PGElement:
     """Evaluate an expression tree in the quotient algebra at the given q."""
+    return PGElement(ctx.l, _free_expr_table(e, ctx))
+
+
+def _monomial_table(l: int, i: int = 0, j: int = 0) -> np.ndarray:
+    """The coefficient table of th^i thb^j."""
+    table = np.zeros((l, l), dtype=complex)
+    table[i, j] = 1.0
+    return table
+
+
+def _free_expr_table(e: FreeExpr, ctx: AlgebraCtx) -> np.ndarray:
+    """The (l, l) table of from_free_expr(e, ctx), evaluated node by node on
+    raw tables: no PGElement per node, and one single-block multiply_stack
+    call per product."""
     if isinstance(e, Const):
-        return complex(e.value) * PGElement.one(ctx.l)
+        return _monomial_table(ctx.l) * complex(e.value)
     if isinstance(e, QSym):
-        return ctx.q * PGElement.one(ctx.l)
+        return _monomial_table(ctx.l) * ctx.q
     if isinstance(e, Gen):
-        if e.name == THETA:
-            return PGElement.basis(ctx.l, 1, 0)
-        return PGElement.basis(ctx.l, 0, 1)
+        return _monomial_table(ctx.l, 1, 0) if e.name == THETA else _monomial_table(ctx.l, 0, 1)
     if isinstance(e, Sum):
-        out = PGElement.zero(ctx.l)
+        out = np.zeros((ctx.l, ctx.l), dtype=complex)
         for t in e.terms:
-            out = out + from_free_expr(t, ctx)
+            out = out + _free_expr_table(t, ctx)
         return out
     if isinstance(e, Prod):
-        out = PGElement.one(ctx.l)
+        out = _monomial_table(ctx.l)
         for fct in e.factors:
-            out = multiply(out, from_free_expr(fct, ctx), ctx)
+            out = _times(out, _free_expr_table(fct, ctx), ctx)
         return out
     if isinstance(e, Pow):
         if e.exponent == 0:
-            return PGElement.one(ctx.l)
-        base = from_free_expr(e.base, ctx)
+            return _monomial_table(ctx.l)
+        base = _free_expr_table(e.base, ctx)
         # square-and-multiply over the exponent's bits, most significant first
         out = base
         for bit in bin(e.exponent)[3:]:
-            out = multiply(out, out, ctx)
+            out = _times(out, out, ctx)
             if bit == "1":
-                out = multiply(out, base, ctx)
+                out = _times(out, base, ctx)
         return out
     if isinstance(e, Neg):
-        return -from_free_expr(e.operand, ctx)
+        return -_free_expr_table(e.operand, ctx)
     raise TypeError(f"not a FreeExpr node: {e!r}")

@@ -106,7 +106,7 @@ def _charge_hankels(w: WeightSeq):
     t = w.arr()[::-1]
     u = [1.0 / t[0]]
     for m in range(1, l):
-        u.append(-_fsum_rows([t[1:m + 1] * u[::-1]])[0] / t[0])
+        u.append(-_fsum_row(t[1:m + 1] * u[::-1]) / t[0])
     k = np.add.outer(np.arange(l), np.arange(l))
     H = np.where(k < l, w.arr()[np.minimum(k, l - 1)], 0.0)
     U = np.where(k >= l - 1, np.array(u)[np.maximum(k - (l - 1), 0)], 0.0)
@@ -128,17 +128,63 @@ def _berezin_support(l: int):
     return frozen(b * l + a, (k - a) * l + (k - b), k)
 
 
+# _fsum_rows sums an array of at least this many entries by whole-array
+# operations, and a smaller one row by row, where one fsum call costs less
+# than the dozen numpy calls of the vectorized path
+_VECTOR_SUM_MIN = 768
+
+# a row with max|x| * length above this may overflow the splitting sum
+_SPLIT_MAX = 2.0 ** 1000
+
+
+def _fsum_row(row: np.ndarray) -> float:
+    """math.fsum of one row, or float addition where fsum overflows."""
+    row = row.tolist()
+    try:
+        return math.fsum(row)
+    except (OverflowError, ValueError):
+        return sum(row)
+
+
 def _fsum_rows(x: np.ndarray) -> list:
-    """The exactly rounded sum of each row of x.  A row whose sum leaves the
-    float range, or that holds both infinities, sums as float addition would,
-    to inf or NaN."""
-    sums = []
-    for row in x:
-        row = row.tolist()
-        try:
-            sums.append(math.fsum(row))
-        except (OverflowError, ValueError):
-            sums.append(sum(row))
+    """math.fsum of each row of the 2-d array x: the exactly rounded sum.  A
+    row on which fsum overflows sums as float addition would: one that holds
+    both infinities to NaN, one whose exact sum leaves the float range to
+    inf, and so does one whose running sum does, as [1e308, 7e307, 7e307,
+    -1e308], whose exact sum 1.4e308 is finite.
+
+    A large array is summed as in ExtractVector (Rump, Ogita and Oishi,
+    "Accurate floating-point summation part I", SIAM J. Sci. Comput. 31(1),
+    2008).  With max|x| < 2^e on a row of m entries and sigma =
+    2^(e + ceil(log2(m + 2))), the split hi = (sigma + x) - sigma,
+    lo = x - hi is exact and so is tau = sum(hi), in any order of addition.
+    r = fl(sum(lo)) lies within delta = 2 m 2^-53 sum|lo| of the exact sum of
+    lo, and rounding is monotone, so where fl(tau + (r - delta)) and
+    fl(tau + (r + delta)) agree, that value is the exactly rounded sum, bit
+    for bit fsum's.  The other rows (the two differ, the sum is zero and
+    fsum picks its sign, or a value is not finite or too large for the
+    split) are summed by fsum.
+    """
+    if x.size < _VECTOR_SUM_MIN:
+        return [_fsum_row(row) for row in x]
+    m = x.shape[1]
+    top = np.abs(x).max(axis=1)
+    fits = top <= _SPLIT_MAX / m  # false for NaN too
+    y = x
+    if not fits.all():
+        top = np.where(fits, top, 0.0)
+        y = np.where(fits[:, None], x, 0.0)
+    sigma = np.ldexp(1.0, np.frexp(top)[1] + (m + 1).bit_length())[:, None]
+    hi = (y + sigma) - sigma
+    lo = y - hi
+    tau = hi.sum(axis=1)
+    r = lo.sum(axis=1)
+    delta = np.abs(lo).sum(axis=1) * (m * 2.0 ** -52)
+    below = tau + (r - delta)
+    redo = (below != tau + (r + delta)) | (below == 0) | ~fits
+    sums = below.tolist()
+    for k in np.flatnonzero(redo).tolist():
+        sums[k] = _fsum_row(x[k])
     return sums
 
 

@@ -176,9 +176,11 @@ def _rewrite_words(word, ctx):
 
 
 def check_normal_order_oracle(ctx, w, rng, tol):
-    return [_max_abs(alg.normal_order(word, ctx).coeffs - _rewrite_words(word, ctx).coeffs)
-            for length in range(7)
-            for word in itertools.product((alg.THETA, alg.THETA_BAR), repeat=length)]
+    words = [word for length in range(7)
+             for word in itertools.product((alg.THETA, alg.THETA_BAR), repeat=length)]
+    lhs = np.stack([alg.normal_order(word, ctx).coeffs for word in words])
+    rhs = np.stack([_rewrite_words(word, ctx).coeffs for word in words])
+    return _max_abs_each(lhs - rhs)
 
 
 def check_associativity(ctx, w, rng, tol):
@@ -228,7 +230,8 @@ def _random_expr(rng, depth=0):
     kinds = ["const", "q", "th", "thb"]
     if depth < 2:
         kinds += ["sum", "prod", "pow", "neg"]
-    kind = rng.choice(kinds)
+    # the draw of rng.choice(kinds), without its per-call overhead
+    kind = kinds[rng.integers(len(kinds))]
     if kind == "const":
         return alg.Const(complex(rng.standard_normal(), rng.standard_normal()))
     if kind == "q":

@@ -1,8 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pgquant import (PGElement, WeightSeq, adjoint_wrt_form, form, gram_matrix,
                      orthonormal_phi, preset_weights)
+from pgquant.forms import _VECTOR_SUM_MIN, _fsum_rows
 from pgquant.verify import random_element
 
 
@@ -151,3 +156,93 @@ class TestOrthonormalPhi:
     def test_out_of_range(self):
         with pytest.raises(IndexError):
             orthonormal_phi(2, W12)
+
+
+def fsum_or_float_sum(row):
+    """math.fsum, or float addition where fsum overflows: the per-row route."""
+    row = row.tolist()
+    try:
+        return math.fsum(row)
+    except (OverflowError, ValueError):
+        return sum(row)
+
+
+def assert_exact_row_sums(x):
+    want = np.array([fsum_or_float_sum(row) for row in x])
+    assert np.array(_fsum_rows(x)).tobytes() == want.tobytes()
+
+
+def on_both_sides_of_the_size_rule(rows, pad=0.0):
+    """The rows as one small array, and padded with pad and repeated into an
+    array of at least _VECTOR_SUM_MIN entries."""
+    width = max(map(len, rows))
+    x = np.array([row + [pad] * (width - len(row)) for row in rows])
+    width = max(width, -(-_VECTOR_SUM_MIN // (3 * len(rows))))
+    big = np.tile(np.pad(x, ((0, 0), (0, width - x.shape[1])), constant_values=pad), (3, 1))
+    assert x.size < _VECTOR_SUM_MIN <= big.size
+    return x, big
+
+
+TIE = 2.0 ** -53
+ROWS = [
+    # halfway cases: fsum rounds to even, and a tiny third term breaks the tie
+    [1.0, TIE], [1.0, TIE, 2.0 ** -110], [1.0, TIE, -2.0 ** -110],
+    [1.0 + 2.0 ** -52, TIE], [1.0 + 2.0 ** -52, TIE, 2.0 ** -110],
+    [1.0 + 2.0 ** -52, TIE, -2.0 ** -110], [-1.0, -TIE, -2.0 ** -110],
+    # exact cancellation and signed zeros
+    [1.0, -1.0], [-1.0, 1.0], [0.1, 0.2, -0.3], [0.0, -0.0], [-0.0, -0.0], [-0.0],
+    [1e16, 1.0, -1e16, -1.0],
+    # subnormals
+    [5e-324, 5e-324, -1e-310], [2.2250738585072014e-308, -5e-324], [1e-310, 3e-311, 1e-320],
+    # magnitudes far apart
+    [1e300, 1.0, -1e300], [1e-300, 1e300, -1e300, 1e-300], [1e300, 1e-300, 3.0],
+    [1e-300, -1e-300, 1e-316],
+    # beyond the finite path: the running sum overflows though the exact sum
+    # 1.4e308 is finite, the exact sum overflows, and the non-finite values
+    [1e308, 7e307, 7e307, -1e308], [1e308, 1e308], [1e300, 1e300],
+    [math.inf, 1.0], [-math.inf, 1.0], [math.inf, -math.inf], [math.nan, 1.0],
+]
+
+
+class TestExactRowSums:
+    """_fsum_rows gives math.fsum's bytes on every row, or float addition's
+    where fsum overflows, whichever route the array's size picks."""
+
+    @pytest.mark.parametrize("pad", [0.0, -0.0])
+    def test_tricky_rows(self, pad):
+        for rows in ([row] for row in ROWS):
+            for x in on_both_sides_of_the_size_rule(rows, pad):
+                assert_exact_row_sums(x)
+        # every row in one array: certified rows and redone rows side by side
+        for x in on_both_sides_of_the_size_rule(ROWS[:20], pad):
+            assert_exact_row_sums(x)
+
+    def test_running_sum_overflow_sums_to_inf(self):
+        for x in on_both_sides_of_the_size_rule([[1e308, 7e307, 7e307, -1e308]]):
+            assert _fsum_rows(x)[0] == math.inf
+
+    def test_ties_round_to_even_on_the_vectorized_route(self):
+        _, big = on_both_sides_of_the_size_rule(
+            [[1.0, TIE], [1.0, TIE, 2.0 ** -110], [1.0 + 2.0 ** -52, TIE]])
+        assert _fsum_rows(big)[:3] == [1.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51]
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 91, 767, 768, 769, 4900])
+    def test_random_rows_of_every_length(self, m):
+        rng = np.random.default_rng([m, 30])
+        for n in sorted({1, 2, -(-_VECTOR_SUM_MIN // m) + 1}):
+            x = rng.standard_normal((n, m))
+            assert_exact_row_sums(x)
+            assert_exact_row_sums(x * 10.0 ** rng.integers(-300, 300, (n, m)))
+            # heavy cancellation: each row and its negation, off by one tiny term
+            y = np.concatenate([x, -x[:, ::-1]], axis=1)
+            y[:, 0] += 2.0 ** -60
+            assert_exact_row_sums(y)
+            assert_exact_row_sums(np.round(x * 8) / 8 + TIE * rng.integers(-3, 4, (n, m)))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.one_of(st.floats(), st.sampled_from(
+        [1.0, TIE, -TIE, 2.0 ** -110, 1.0 + 2.0 ** -52, 0.0, -0.0, 5e-324, 1e300, -1e300])),
+        min_size=1, max_size=12), min_size=1, max_size=6))
+    def test_any_rows(self, rows):
+        for x in on_both_sides_of_the_size_rule(rows):
+            assert_exact_row_sums(x)

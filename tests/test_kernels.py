@@ -27,20 +27,22 @@ import numpy as np
 import pytest
 
 import pgquant
-from pgquant import (MONOMIAL, ORTHONORMAL, AlgebraCtx, Const, Gen, OperatorBH,
-                     PGElement, Pow, Sum, THETA, THETA_BAR, WeightSeq,
+from pgquant import (MONOMIAL, ORTHONORMAL, AlgebraCtx, Const, Gen, Neg, OperatorBH,
+                     PGElement, Pow, Prod, QSym, Sum, THETA, THETA_BAR, WeightSeq,
                      adjoint_wrt_form, coherent_quantization, conjugate, convert_basis, form,
                      from_free_expr, gram_matrix, ladder_set, mult_operator, multiply,
-                     normal_order, pk_operator, project_pk, project_pk_bar,
+                     normal_order, parse, pk_operator, project_pk, project_pk_bar,
                      toeplitz, toeplitz_adjoint, toeplitz_flat, toeplitz_orthonormal)
-from pgquant.algebra import conjugate_stack, multiply_stack, product_support, scatter_sum
+from pgquant.algebra import (BLOCK_TERMS, conjugate_stack, multiply_stack, product_support,
+                             scatter_sum)
 from pgquant.forms import (_berezin_support, _charge_hankels, _gram_support, form_stack,
                            preset_weights)
 from pgquant.quantization import (_projection_support, _toeplitz_support,
                                   coherent_quantization_stack, convert_basis_stack,
                                   project_pk_stack,
                                   toeplitz_adjoint_stack, toeplitz_flat_stack, toeplitz_stack)
-from pgquant.verify import GRID_QS, compression_samples, random_element, random_elements
+from pgquant.verify import (GRID_QS, _random_expr, compression_samples, random_element,
+                           random_elements)
 
 GRID_Q_VALUES = [q for _, q in GRID_QS]
 
@@ -586,6 +588,68 @@ def test_small_powers_match_repeated_products(n):
     np.testing.assert_allclose(got.coeffs, want.coeffs, rtol=1e-12, atol=1e-12)
 
 
+def loop_from_free_expr(e, ctx):
+    """from_free_expr node by node: a PGElement per node and the public
+    multiply per product, the route its table evaluator replaced."""
+    if isinstance(e, Const):
+        return complex(e.value) * PGElement.one(ctx.l)
+    if isinstance(e, QSym):
+        return ctx.q * PGElement.one(ctx.l)
+    if isinstance(e, Gen):
+        return PGElement.basis(ctx.l, 1, 0) if e.name == THETA else PGElement.basis(ctx.l, 0, 1)
+    if isinstance(e, Sum):
+        out = PGElement.zero(ctx.l)
+        for t in e.terms:
+            out = out + loop_from_free_expr(t, ctx)
+        return out
+    if isinstance(e, Prod):
+        out = PGElement.one(ctx.l)
+        for fct in e.factors:
+            out = multiply(out, loop_from_free_expr(fct, ctx), ctx)
+        return out
+    if isinstance(e, Pow):
+        if e.exponent == 0:
+            return PGElement.one(ctx.l)
+        base = loop_from_free_expr(e.base, ctx)
+        out = base
+        for bit in bin(e.exponent)[3:]:
+            out = multiply(out, out, ctx)
+            if bit == "1":
+                out = multiply(out, base, ctx)
+        return out
+    return -loop_from_free_expr(e.operand, ctx)
+
+
+@pytest.mark.parametrize("q", GRID_Q_VALUES)
+@pytest.mark.parametrize("l", range(2, 8))
+def test_from_free_expr_equals_its_node_loop(l, q):
+    """Bit for bit, signed zeros included, on the verify sweep's random trees."""
+    ctx = AlgebraCtx(l, q)
+    rng = np.random.default_rng([l, 29])
+    for _ in range(40):
+        e = _random_expr(rng)
+        assert from_free_expr(e, ctx).coeffs.tobytes() == loop_from_free_expr(e, ctx).coeffs.tobytes()
+
+
+@pytest.mark.parametrize("q", GRID_Q_VALUES)
+def test_from_free_expr_edge_trees_equal_the_node_loop(q):
+    ctx = AlgebraCtx(4, q)
+    th, thb = Gen(THETA), Gen(THETA_BAR)
+    trees = [Const(-0.0), Const(complex(-0.0, -0.0)), Neg(Const(0.0)),
+             Prod((Const(-0.0), th)), Sum((Const(complex(0.0, -0.0)), Neg(thb))),
+             Pow(th, 0), Pow(Sum((Const(-1.5), thb)), 0),
+             Pow(Sum((Const(1.0), th)), 3_000_000),
+             Pow(Sum((Const(-1.0), Prod((thb, QSym(), th)))), 3_000_000)]
+    for e in trees:
+        assert from_free_expr(e, ctx).coeffs.tobytes() == loop_from_free_expr(e, ctx).coeffs.tobytes()
+    # an overflowing product fills the table with NaN on both routes
+    with np.errstate(all="ignore"):
+        e = parse("1e300*1e300*th")
+        got, want = from_free_expr(e, ctx).coeffs, loop_from_free_expr(e, ctx).coeffs
+    assert np.isnan(got).all()
+    assert got.tobytes() == want.tobytes()
+
+
 def test_import_does_not_load_scipy():
     code = "import sys, pgquant; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     src = pathlib.Path(pgquant.__file__).resolve().parent.parent
@@ -645,6 +709,16 @@ def test_stacked_kernels_equal_single_calls(l, q, n):
                           [multiply(f, g, ctx).coeffs for f, g in pairs])
     assert np.array_equal(multiply_stack(F[:1], G, ctx),
                           [multiply(pairs[0][0], g, ctx).coeffs for _, g in pairs])
+    if l == 6 and n == 5:
+        # a stack of exactly one block of products, and one of a table more
+        # that takes a second block
+        assert BLOCK_TERMS // len(product_support(l)[0]) == 18
+        for big in (18, 19):
+            F6, G6 = sparse_stack(rng, l, big), sparse_stack(rng, l, big)
+            assert np.array_equal(multiply_stack(F6, G6, ctx), [
+                multiply(PGElement(l, f), PGElement(l, g), ctx).coeffs for f, g in zip(F6, G6)])
+            assert np.array_equal(multiply_stack(F6[:1], G6, ctx), [
+                multiply(PGElement(l, F6[0]), PGElement(l, g), ctx).coeffs for g in G6])
     for mode in ("closed", "definitional"):
         assert np.array_equal(form_stack(F, G, w, mode), [form(f, g, w, mode) for f, g in pairs])
     for mode in ("closed", "projection"):

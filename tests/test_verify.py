@@ -193,6 +193,45 @@ def loop_holomorphic_conjugation(ctx, w, rng, tol):
     return residuals
 
 
+def loop_normal_order_oracle(ctx, w, rng, tol):
+    return [max_abs(alg.normal_order(word, ctx).coeffs - verify_mod._rewrite_words(word, ctx).coeffs)
+            for length in range(7)
+            for word in itertools.product((alg.THETA, alg.THETA_BAR), repeat=length)]
+
+
+def choice_random_expr(rng, depth=0):
+    """_random_expr drawing each node kind with rng.choice."""
+    kinds = ["const", "q", "th", "thb"]
+    if depth < 2:
+        kinds += ["sum", "prod", "pow", "neg"]
+    kind = rng.choice(kinds)
+    if kind == "const":
+        return alg.Const(complex(rng.standard_normal(), rng.standard_normal()))
+    if kind == "q":
+        return alg.QSym()
+    if kind == "th":
+        return alg.Gen(alg.THETA)
+    if kind == "thb":
+        return alg.Gen(alg.THETA_BAR)
+    if kind == "sum":
+        return alg.Sum(tuple(choice_random_expr(rng, depth + 1) for _ in range(2)))
+    if kind == "prod":
+        return alg.Prod(tuple(choice_random_expr(rng, depth + 1) for _ in range(2)))
+    if kind == "pow":
+        return alg.Pow(choice_random_expr(rng, depth + 1), int(rng.integers(0, 4)))
+    return alg.Neg(choice_random_expr(rng, depth + 1))
+
+
+def test_random_expr_draws_the_trees_of_rng_choice():
+    """Indexing the kinds with rng.integers reads the generator's stream as
+    rng.choice does: the same trees, and the generator left in the same state."""
+    for seed in range(200):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [verify_mod._random_expr(rng) for _ in range(5)]
+        assert repr(got) == repr([choice_random_expr(ref) for _ in range(5)])
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def loop_free_expr_linearity(ctx, w, rng, tol):
     residuals = []
     for _ in range(10):
@@ -409,7 +448,7 @@ def outcome(fn, ctx, w, seed):
 
 
 def test_every_batched_check_has_its_loop():
-    assert set(LOOPS) <= set(verify_mod.CHECK_NAMES) and len(LOOPS) == 19
+    assert set(LOOPS) <= set(verify_mod.CHECK_NAMES) and len(LOOPS) == 20
     assert set(BASIS_FAMILY_LOOPS) <= set(LOOPS)
 
 
