@@ -1,17 +1,26 @@
 """Grid verification sweeps for every stated operator identity.
 
-A check is a plain function fn(ctx, w, rng, tol) run at one grid point (l, q,
-weight choice) with its own seeded generator.  It returns the list of residuals
-it measured, or raises CheckFailure with a note for a failure that is not a
-residual (a rank, a sign, a nilpotency); with expected=True the exception marks
-the conjugation violation that the star criterion witnesses at non-real q.
+A check is a plain function run at one grid point (l, q, weight choice).  It
+takes exactly the arguments it reads, an ordered subset of (ctx, w, rng, tol):
+the algebra context, the weights, a generator seeded for the check and the
+point, and the tolerance.  So check_gram_properties(w) reads neither q nor a
+generator, and check_associativity(ctx, rng) no weights.  It returns the list
+of residuals it measured, or raises CheckFailure with a note for a failure
+that is not a residual (a rank, a sign, a nilpotency); with expected=True the
+exception marks the conjugation violation that the star criterion witnesses at
+non-real q.
 
 run_point alone decides the record, with each check under
 np.errstate(all="ignore"): the residual is the largest measured (0 if none;
 inf if any is NaN or infinite) and passes below the tolerance.  A raised
 failure is a "fail" with residual 1.0 and its note, an expected one an
 EXPECTED_FAIL with residual 0; an SVD of a matrix holding inf or NaN, or a
-magnitude beyond the float range, is a "fail" with residual inf.
+magnitude beyond the float range, is a "fail" with residual inf.  Only a
+check that takes rng gets a generator.  A check that takes none is a function
+of its arguments, so its record is computed once per distinct check function,
+argument values and tolerance in a process, and served again at every point
+that repeats them: the weight-only checks at each q, the q-only checks at each
+weight choice.
 
 The checks draw their random samples as stacks, from one generator call per
 stack, and evaluate them through the stacked kernels: the samples, and the
@@ -19,6 +28,8 @@ residual lists, are those of a loop that drew one sample at a time.
 """
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
 import math
 from dataclasses import dataclass
@@ -112,6 +123,14 @@ def _basis_symbols(l: int) -> np.ndarray:
     return np.eye(l * l, dtype=complex).reshape(l * l, l, l)
 
 
+@functools.cache
+def _order_ctx(l: int) -> AlgebraCtx:
+    """The context of order l and q = 1, for the wrappers that read only the
+    order of theirs (toeplitz, ladder_set): a check of the weights alone
+    passes it, and so reads no q."""
+    return AlgebraCtx(l)
+
+
 def _vec_bh(x: np.ndarray, l: int) -> np.ndarray:
     """Embed holomorphic coordinates (positions a*l of th^a) into the full
     l^2 coefficient vector; x may be a stack of coordinate vectors."""
@@ -175,7 +194,7 @@ def _rewrite_words(word, ctx):
     return PGElement.basis(ctx.l, a, b, coeff)
 
 
-def check_normal_order_oracle(ctx, w, rng, tol):
+def check_normal_order_oracle(ctx):
     words = [word for length in range(7)
              for word in itertools.product((alg.THETA, alg.THETA_BAR), repeat=length)]
     lhs = np.stack([alg.normal_order(word, ctx).coeffs for word in words])
@@ -183,7 +202,7 @@ def check_normal_order_oracle(ctx, w, rng, tol):
     return _max_abs_each(lhs - rhs)
 
 
-def check_associativity(ctx, w, rng, tol):
+def check_associativity(ctx, rng):
     # ten samples of (f, g, h)
     f, g, h = np.moveaxis(random_elements(rng, (10, 3), ctx.l), 1, 0)
     lhs = multiply_stack(multiply_stack(f, g, ctx), h, ctx)
@@ -191,14 +210,14 @@ def check_associativity(ctx, w, rng, tol):
     return _relative(_max_abs_each(lhs - rhs), _max_abs_each(rhs))
 
 
-def check_defining_relation(ctx, w, rng, tol):
+def check_defining_relation(ctx):
     th = PGElement.basis(ctx.l, 1, 0)
     thb = PGElement.basis(ctx.l, 0, 1)
     res = alg.multiply(th, thb, ctx) - ctx.q * alg.multiply(thb, th, ctx)
     return [_max_abs(res.coeffs)]
 
 
-def check_star_criterion(ctx, w, rng, tol):
+def check_star_criterion(ctx, rng, tol):
     """Product rule for the conjugation: holds iff q is real; for complex q
     the pair (thb, th) must violate it."""
     thb = PGElement.basis(ctx.l, 0, 1)
@@ -217,7 +236,7 @@ def check_star_criterion(ctx, w, rng, tol):
     return [witness_res] + _relative(_max_abs_each(res), _max_abs_each(prod))
 
 
-def check_holomorphic_conjugation(ctx, w, rng, tol):
+def check_holomorphic_conjugation(ctx, rng):
     samples = random_elements(rng, (10, 2), ctx.l)
     samples[_THB_POWERS] = 0
     f, g = np.moveaxis(samples, 1, 0)
@@ -249,7 +268,7 @@ def _random_expr(rng, depth=0):
     return alg.Neg(_random_expr(rng, depth + 1))
 
 
-def check_free_expr_linearity(ctx, w, rng, tol):
+def check_free_expr_linearity(ctx, rng):
     residuals = []
     for _ in range(10):
         e1, e2 = _random_expr(rng), _random_expr(rng)
@@ -263,12 +282,12 @@ def check_free_expr_linearity(ctx, w, rng, tol):
 
 # --- forms -----------------------------------------------------------------
 
-def check_form_mode_agreement(ctx, w, rng, tol):
-    f, g = np.moveaxis(random_elements(rng, (200, 2), ctx.l), 1, 0)
+def check_form_mode_agreement(w, rng):
+    f, g = np.moveaxis(random_elements(rng, (200, 2), w.l), 1, 0)
     return _abs_each(form_stack(f, g, w, "closed") - form_stack(f, g, w, "definitional"))
 
 
-def check_gram_properties(ctx, w, rng, tol):
+def check_gram_properties(w):
     G = gram_matrix(w)
     # the form on the holomorphic monomials: rows and columns a*l of th^a
     if matrix_rank(G) != w.l * w.l or not np.all(np.linalg.eigvalsh(G[::w.l, ::w.l]) > 0):
@@ -276,8 +295,8 @@ def check_gram_properties(ctx, w, rng, tol):
     return [_max_abs(G - G.T)]
 
 
-def check_adjoint_wrt_form(ctx, w, rng, tol):
-    l = ctx.l
+def check_adjoint_wrt_form(w, rng):
+    l = w.l
     A = rng.standard_normal((l * l, l * l)) + 1j * rng.standard_normal((l * l, l * l))
     Astar = adjoint_wrt_form(A, w)
     f, g = np.moveaxis(random_elements(rng, (100, 2), l), 1, 0)
@@ -291,7 +310,7 @@ def check_adjoint_wrt_form(ctx, w, rng, tol):
     return residuals
 
 
-def check_orthonormal_basis(ctx, w, rng, tol):
+def check_orthonormal_basis(w):
     l = w.l
     # phi_j = w_j^{-1/2} th^j, and every pair (phi_j, phi_k), (j, k) row-major
     phi = _basis_symbols(l)[::l] / np.sqrt(w.arr())[:, None, None]
@@ -301,8 +320,8 @@ def check_orthonormal_basis(ctx, w, rng, tol):
 
 # --- quantization ----------------------------------------------------------
 
-def check_pk_projection(ctx, w, rng, tol):
-    l = ctx.l
+def check_pk_projection(w, rng):
+    l = w.l
     P = pk_operator(w)
     residuals = [_max_abs(P @ P - P), _max_abs(adjoint_wrt_form(P, w) - P)]
     if matrix_rank(P) != l:
@@ -317,9 +336,9 @@ def check_pk_projection(ctx, w, rng, tol):
         _max_abs_each(project_pk_stack(h, w) - h))
 
 
-def check_toeplitz_dual_path(ctx, w, rng, tol):
+def check_toeplitz_dual_path(w, rng):
     # every basis symbol, then 50 random ones
-    symbols = np.concatenate([_basis_symbols(ctx.l), random_elements(rng, (50,), ctx.l)])
+    symbols = np.concatenate([_basis_symbols(w.l), random_elements(rng, (50,), w.l)])
     return _max_abs_each(toeplitz_stack(symbols, w, "closed")
                          - toeplitz_stack(symbols, w, "projection"))
 
@@ -336,7 +355,7 @@ def compression_samples(rng: np.random.Generator, n: int, l: int):
     return g[:, 0] + 1j * g[:, 1], f1, f2
 
 
-def check_compression_identity(ctx, w, rng, tol):
+def check_compression_identity(ctx, w, rng):
     l = ctx.l
     g, f1, f2 = compression_samples(rng, 20, l)
     # one matrix-vector product per sample, as for a single sample; M_g is
@@ -350,14 +369,14 @@ def check_compression_identity(ctx, w, rng, tol):
     return _relative(_abs_each(lhs - rhs), _abs_each(rhs))
 
 
-def check_toeplitz_iso_rank(ctx, w, rng, tol):
-    if span_rank(toeplitz_stack(_basis_symbols(ctx.l), w)) != ctx.l * ctx.l:
+def check_toeplitz_iso_rank(w):
+    if span_rank(toeplitz_stack(_basis_symbols(w.l), w)) != w.l * w.l:
         raise CheckFailure()
     return []
 
 
-def check_column_structure(ctx, w, rng, tol):
-    l = ctx.l
+def check_column_structure(w):
+    l = w.l
     M = toeplitz_stack(_basis_symbols(l), w)
     Mon = convert_basis_stack(M, w, ORTHONORMAL)
     # the column formula, entry by entry: T(th^i thb^j) holds w_{i+a}/w_{i+a-j}
@@ -370,24 +389,24 @@ def check_column_structure(ctx, w, rng, tol):
     return _max_abs_each(M - expect) + _max_abs_each(Mon - oexpect)
 
 
-def check_adjoint_symbol_rule(ctx, w, rng, tol):
-    l = ctx.l
+def check_adjoint_symbol_rule(w, rng, tol):
+    l = w.l
     g = random_elements(rng, (50,), l)
     lhs = toeplitz_adjoint_stack(toeplitz_stack(g, w), w)
     residuals = _max_abs_each(lhs - toeplitz_stack(conjugate_stack(g), w))
     # corollary witnesses: a self-adjoint symbol gives a self-adjoint operator,
     # a non-self-adjoint symbol does not
     g_sa = PGElement.basis(l, 1, 0) + PGElement.basis(l, 0, 1) + PGElement.basis(l, 1, 1)
-    T = toeplitz(g_sa, w, ctx)
+    T = toeplitz(g_sa, w, _order_ctx(l))
     residuals.append(_max_abs(toeplitz_adjoint(T, w).matrix - T.matrix))
     g_nsa = PGElement.basis(l, 1, 0)
-    Tn = toeplitz(g_nsa, w, ctx)
+    Tn = toeplitz(g_nsa, w, _order_ctx(l))
     if np.allclose(toeplitz_adjoint(Tn, w).matrix, Tn.matrix, atol=tol):
         raise CheckFailure()
     return residuals
 
 
-def check_multiplicativity(ctx, w, rng, tol):
+def check_multiplicativity(ctx, w, rng):
     l = ctx.l
     # 50 samples of (g1, g2, h1, h2), the g holomorphic and the h not; the
     # pairs (g1, g2) and (h1, h2) of each sample are a[k], b[k] in that order
@@ -402,26 +421,26 @@ def check_multiplicativity(ctx, w, rng, tol):
                        _relative(_max_abs_each(Tb @ Ta - Tab), scales))
 
 
-def _anti_wick_words(w, ctx) -> np.ndarray:
+def _anti_wick_words(w) -> np.ndarray:
     """Every annihilation^j creation^i, (i, j) row-major as in _basis_symbols."""
-    lad = ladder_set(w, ctx)
-    A, C = (np.array([np.linalg.matrix_power(op.matrix, k) for k in range(ctx.l)])
+    lad = ladder_set(w, _order_ctx(w.l))
+    A, C = (np.array([np.linalg.matrix_power(op.matrix, k) for k in range(w.l)])
             for op in (lad.annihilation, lad.creation))
-    return (A[None] @ C[:, None]).reshape(-1, ctx.l, ctx.l)
+    return (A[None] @ C[:, None]).reshape(-1, w.l, w.l)
 
 
-def check_anti_wick_factorization(ctx, w, rng, tol):
-    return _max_abs_each(toeplitz_stack(_basis_symbols(ctx.l), w) - _anti_wick_words(w, ctx))
+def check_anti_wick_factorization(w):
+    return _max_abs_each(toeplitz_stack(_basis_symbols(w.l), w) - _anti_wick_words(w))
 
 
-def check_operator_basis_rank(ctx, w, rng, tol):
-    if span_rank(_anti_wick_words(w, ctx)) != ctx.l * ctx.l:
+def check_operator_basis_rank(w):
+    if span_rank(_anti_wick_words(w)) != w.l * w.l:
         raise CheckFailure()
     return []
 
 
-def check_quantization_equivalences(ctx, w, rng, tol):
-    l = ctx.l
+def check_quantization_equivalences(w, rng):
+    l = w.l
     g = random_elements(rng, (50,), l)
     # the z map of a symbol is its transposed table
     A = coherent_quantization_stack(np.swapaxes(g, 1, 2), w)
@@ -436,7 +455,7 @@ def check_quantization_equivalences(ctx, w, rng, tol):
     return residuals
 
 
-def check_mixed_products(ctx, w, rng, tol):
+def check_mixed_products(ctx, w):
     l = ctx.l
     T_eta = toeplitz(PGElement.basis(l, 1, 0), w, ctx).matrix
     T_etabar = toeplitz(PGElement.basis(l, 0, 1), w, ctx).matrix
@@ -447,7 +466,7 @@ def check_mixed_products(ctx, w, rng, tol):
             _max_abs(ctx.q * toeplitz(reversed_symbol, w, ctx).matrix - T_mixed)]
 
 
-def check_q_commute_compression(ctx, w, rng, tol):
+def check_q_commute_compression(ctx, w):
     l = ctx.l
     th = PGElement.basis(l, 1, 0)
     thb = PGElement.basis(l, 0, 1)
@@ -462,9 +481,9 @@ def check_q_commute_compression(ctx, w, rng, tol):
             _max_abs(comp_th - toeplitz(th, w, ctx).matrix)]
 
 
-def check_number_operator(ctx, w, rng, tol):
-    l = ctx.l
-    lad = ladder_set(w, ctx)
+def check_number_operator(w, rng, tol):
+    l = w.l
+    lad = ladder_set(w, _order_ctx(l))
     N = lad.number.matrix
     diag = np.real(np.diag(N))
     residuals = [_max_abs(N - np.diag(np.diag(N))),
@@ -481,8 +500,8 @@ def check_number_operator(ctx, w, rng, tol):
     return residuals
 
 
-def check_diagonal_symbols(ctx, w, rng, tol):
-    l = ctx.l
+def check_diagonal_symbols(w):
+    l = w.l
     M = toeplitz_stack(_basis_symbols(l)[::l + 1], w)  # every T(th^i thb^i)
     diag = np.real(np.diagonal(M, axis1=1, axis2=2))
     expect = [[w.w[i + a] / w.w[a] if i + a < l else 0.0 for a in range(l)] for i in range(l)]
@@ -491,9 +510,9 @@ def check_diagonal_symbols(ctx, w, rng, tol):
     return _max_abs_each(M * (1 - np.eye(l))) + np.abs(diag - expect).ravel().tolist()
 
 
-def check_ladder_facts(ctx, w, rng, tol):
-    l = ctx.l
-    lad = ladder_set(w, ctx)
+def check_ladder_facts(w, tol):
+    l = w.l
+    lad = ladder_set(w, _order_ctx(l))
     for name, op in (("creation", lad.creation.matrix), ("annihilation", lad.annihilation.matrix)):
         if not _max_abs(np.linalg.matrix_power(op, l)) <= tol:
             raise CheckFailure(f"{name} power l not zero")
@@ -506,9 +525,9 @@ def check_ladder_facts(ctx, w, rng, tol):
             _max_abs(lad.number.matrix - lad.creation.matrix @ lad.annihilation.matrix)]
 
 
-def check_norm_bound(ctx, w, rng, tol):
-    l = ctx.l
-    T_eta = toeplitz(PGElement.basis(l, 1, 0), w, ctx)
+def check_norm_bound(w, tol):
+    l = w.l
+    T_eta = toeplitz(PGElement.basis(l, 1, 0), w, _order_ctx(l))
     norm2 = operator_norm_bh(T_eta, w) ** 2
     bound = max(w.w[a + 1] / w.w[a] for a in range(l - 1))
     if not norm2 >= bound - tol * max(1.0, bound):
@@ -516,7 +535,7 @@ def check_norm_bound(ctx, w, rng, tol):
     return Noted([0.0], f"observed norm^2 - bound = {norm2 - bound:.3e}")
 
 
-def check_reproducing_truncation(ctx, w, rng, tol):
+def check_reproducing_truncation(ctx, w, rng):
     l = ctx.l
     N = l + 3
     coeffs = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
@@ -562,6 +581,39 @@ CHECKS = (
 CHECK_NAMES = tuple(name for name, _ in CHECKS)
 
 
+@functools.cache
+def _params(fn) -> tuple:
+    """The names of the arguments fn takes, in order.  inspect.signature
+    follows a wrapper's __wrapped__ to the check it wraps."""
+    return tuple(inspect.signature(fn).parameters)
+
+
+def _outcome(fn, tol, /, **args) -> tuple:
+    """The (residual, status, note) of the record of fn(**args)."""
+    try:
+        with np.errstate(all="ignore"):
+            measured = fn(**args)
+    except CheckFailure as found:
+        residual, note = (0.0, "") if found.expected else (1.0, found.note)
+        status = EXPECTED_FAIL if found.expected else "fail"
+    except (np.linalg.LinAlgError, OverflowError) as failed:
+        # a measurement that is not finite
+        residual, status, note = math.inf, "fail", str(failed)
+    else:
+        residuals = np.asarray(measured, dtype=float)
+        residual = (float(residuals.max(initial=0.0)) if np.isfinite(residuals).all()
+                    else math.inf)
+        status = "pass" if residual < tol else "fail"
+        note = getattr(measured, "note", "")
+    return residual, status, note
+
+
+# The outcome of a check that draws nothing, keyed on the check function (not
+# its name, which a swapped-in function shares), the argument values (contexts
+# and weights compare by value) and tol.  A default sweep has 525 such outcomes.
+_shared_outcome = functools.lru_cache(maxsize=1024)(_outcome)
+
+
 def run_point(l: int, q_id: str, q: complex, w_id: str, w: WeightSeq,
               seed: int = 0, tol: float = DEFAULT_TOL,
               checks=None) -> list[CheckResult]:
@@ -570,29 +622,20 @@ def run_point(l: int, q_id: str, q: complex, w_id: str, w: WeightSeq,
     if isinstance(checks, str) or not set(selected) <= set(CHECK_NAMES):
         raise ValueError(f"checks must be a collection of names from CHECK_NAMES, "
                          f"got {checks!r}")
-    ctx = AlgebraCtx(l, q)
+    given = {"ctx": AlgebraCtx(l, q), "w": w, "tol": tol}
     results = []
     w_key = GRID_WEIGHT_IDS.index(w_id) if w_id in GRID_WEIGHT_IDS else 99
     q_key = sum(ord(c) for c in q_id)  # stable across processes
     for idx, (name, fn) in enumerate(CHECKS):
         if name not in selected:
             continue
-        rng = np.random.default_rng([seed, idx, l, w_key, q_key])
-        try:
-            with np.errstate(all="ignore"):
-                measured = fn(ctx, w, rng, tol)
-        except CheckFailure as found:
-            residual, note = (0.0, "") if found.expected else (1.0, found.note)
-            status = EXPECTED_FAIL if found.expected else "fail"
-        except (np.linalg.LinAlgError, OverflowError) as failed:
-            # a measurement that is not finite
-            residual, status, note = math.inf, "fail", str(failed)
+        params = _params(fn)
+        if "rng" in params:
+            given["rng"] = np.random.default_rng([seed, idx, l, w_key, q_key])
+            outcome = _outcome
         else:
-            residuals = np.asarray(measured, dtype=float)
-            residual = (float(residuals.max(initial=0.0)) if np.isfinite(residuals).all()
-                        else math.inf)
-            status = "pass" if residual < tol else "fail"
-            note = getattr(measured, "note", "")
+            outcome = _shared_outcome
+        residual, status, note = outcome(fn, tol, **{p: given[p] for p in params})
         results.append(CheckResult(name, l, q_id, w_id, residual, status, note))
     return results
 

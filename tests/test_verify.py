@@ -7,8 +7,10 @@ that draw their samples as stacks are pinned to the per-sample loops they
 replaced: the same residuals, bit for bit.  The checks that make one stacked
 call per family of basis monomials are pinned to the per-monomial loops they
 replaced: the same record.  The toeplitz_dual_path records are the same
-bytes under another BLAS kernel.
+bytes under another BLAS kernel.  A check that draws nothing runs once per
+distinct input, and the records do not depend on what the cache holds.
 """
+import inspect
 import itertools
 import json
 import math
@@ -24,7 +26,8 @@ import pytest
 from pgquant import algebra as alg
 from pgquant import verify as verify_mod
 from pgquant.algebra import PGElement
-from pgquant.forms import WeightSeq, adjoint_wrt_form, form, gram_matrix, orthonormal_phi
+from pgquant.forms import (WeightSeq, adjoint_wrt_form, form, gram_matrix, orthonormal_phi,
+                           preset_weights)
 from pgquant.quantization import (coherent_quantization, ladder_set, matrix_rank,
                                   mult_operator, pk_operator, project_pk, span_rank, toeplitz,
                                   toeplitz_adjoint, toeplitz_flat, toeplitz_orthonormal)
@@ -40,6 +43,12 @@ def with_check(monkeypatch, name, fn):
     """Swap the function of one CHECKS entry, keeping its name and place."""
     monkeypatch.setattr(verify_mod, "CHECKS", tuple(
         (n, fn if n == name else f) for n, f in verify_mod.CHECKS))
+
+
+def call(fn, ctx, w, rng, tol):
+    """fn called as run_point calls it, with the arguments it names."""
+    given = {"ctx": ctx, "w": w, "rng": rng, "tol": tol}
+    return fn(**{p: given[p] for p in inspect.signature(fn).parameters})
 
 
 @pytest.mark.parametrize("measured", [[0.0, math.nan], [math.nan, 0.0], [math.inf],
@@ -117,7 +126,7 @@ def test_every_check_returns_a_list_of_residuals(name, fn):
     # timer around the call measures the check
     ctx = verify_mod.AlgebraCtx(2, 1.0)
     w = verify_mod.grid_weights("rand1", 2)
-    measured = fn(ctx, w, np.random.default_rng(0), verify_mod.DEFAULT_TOL)
+    measured = call(fn, ctx, w, np.random.default_rng(0), verify_mod.DEFAULT_TOL)
     assert isinstance(measured, list)
     assert all(0 <= x < verify_mod.DEFAULT_TOL for x in measured)
 
@@ -127,6 +136,95 @@ def test_every_check_returns_a_list_of_residuals(name, fn):
 def test_unknown_check_names_are_rejected(checks):
     with pytest.raises(ValueError, match="CHECK_NAMES"):
         point(checks=checks)
+
+
+@pytest.mark.parametrize("name,fn", verify_mod.CHECKS, ids=verify_mod.CHECK_NAMES)
+def test_a_check_takes_an_ordered_subset_of_the_point_arguments(name, fn):
+    params = list(inspect.signature(fn).parameters)
+    assert params == [p for p in ("ctx", "w", "rng", "tol") if p in params]
+
+
+# --- a check that draws nothing runs once per distinct input -------------------
+
+@pytest.fixture
+def cold_cache():
+    verify_mod._shared_outcome.cache_clear()
+
+
+def counting(monkeypatch, names):
+    """Wrap the named checks as the benchmark's tracer does, with __wrapped__
+    set; the returned dict counts the calls that reach each check."""
+    calls = dict.fromkeys(names, 0)
+
+    def wrap(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        counted.__wrapped__ = fn
+        return counted
+
+    monkeypatch.setattr(verify_mod, "CHECKS", tuple(
+        (n, wrap(n, f) if n in names else f) for n, f in verify_mod.CHECKS))
+    return calls
+
+
+def test_a_check_runs_once_per_distinct_input(monkeypatch, cold_cache):
+    names = ("normal_order_oracle", "associativity", "gram_properties")
+    calls = counting(monkeypatch, names)
+    w = verify_mod.grid_weights("rand1", 3)
+    for q_id, q in verify_mod.GRID_QS:
+        verify_mod.run_point(3, q_id, q, "rand1", w, checks=names)
+    assert calls == {"normal_order_oracle": 5, "associativity": 5, "gram_properties": 1}
+
+    calls.update(dict.fromkeys(names, 0))
+    for w_id, w in verify_mod.grid_point_weights(3, 2.0):
+        verify_mod.run_point(3, "2", 2.0, w_id, w, checks=names)
+    # the oracle met q = 2 in the loop above already
+    assert calls == {"normal_order_oracle": 0, "associativity": 5, "gram_properties": 4}
+
+
+def test_a_swapped_in_check_is_called_over_a_cached_outcome(monkeypatch, cold_cache):
+    [real] = point(checks=("gram_properties",))
+    assert real.status == "pass"
+
+    def swapped(w):
+        raise CheckFailure("swapped in")
+
+    with_check(monkeypatch, "gram_properties", swapped)
+    [r] = point(checks=("gram_properties",))
+    assert (r.residual, r.status, r.note) == (1.0, "fail", "swapped in")
+
+
+def record_bytes(records):
+    return [(r.check, r.l, r.q_id, r.w_id, r.residual.hex(), r.status, r.note)
+            for r in records]
+
+
+def test_records_do_not_depend_on_the_cache_or_the_point_order(cold_cache):
+    points = [(l, q_id, q, w_id, w) for l in (2, 3, 4) for q_id, q in verify_mod.GRID_QS
+              for w_id, w in verify_mod.grid_point_weights(l, q)]
+
+    def sweep(order):
+        return {p[:2] + p[3:4]: record_bytes(verify_mod.run_point(*p)) for p in order}
+
+    cold = sweep(points)
+    assert sweep(points) == cold
+    verify_mod._shared_outcome.cache_clear()
+    assert sweep(points[::-1]) == cold
+
+
+def test_weights_that_differ_per_q_under_one_id_keep_their_records(cold_cache):
+    # qfactorial weights are defined at l >= 3 for real q > 0 other than 1
+    qs = [(q_id, q) for q_id, q in verify_mod.GRID_QS if q.imag == 0 < q.real != 1]
+    for l in (3, 5):
+        weights = [preset_weights("qfactorial", l, q) for _, q in qs]
+        assert len(set(weights)) == len(qs)
+        warm = [record_bytes(verify_mod.run_point(l, q_id, q, "qfactorial", w))
+                for (q_id, q), w in zip(qs, weights)]
+        for (q_id, q), w, records in zip(qs, weights, warm):
+            verify_mod._shared_outcome.cache_clear()
+            assert record_bytes(verify_mod.run_point(l, q_id, q, "qfactorial", w)) == records
 
 
 # --- each batched check against the per-sample loop it replaced ---------------
@@ -442,7 +540,7 @@ LOOPS = {name[len("loop_"):]: fn for name, fn in globals().items() if name.start
 def outcome(fn, ctx, w, seed):
     """What a check returns, or the failure it raises."""
     try:
-        return fn(ctx, w, np.random.default_rng(seed), verify_mod.DEFAULT_TOL)
+        return call(fn, ctx, w, np.random.default_rng(seed), verify_mod.DEFAULT_TOL)
     except CheckFailure as found:
         return ("raised", found.note, found.expected)
 
