@@ -1,10 +1,10 @@
 """Command-line front end: operator matrices, verification sweeps, spectra.
 
 Exit status: 0 success, 1 verification failure, 2 usage or configuration
-error.  Complex numbers serialize as [re, im] pairs in JSON.  Every command
-computes under np.errstate(all="ignore") and prints only finite numbers: a
-quantity that overflows to inf or NaN ends the command with exit 2 and one
-error line that names it.
+error or a failed write.  Complex numbers serialize as [re, im] pairs in JSON.
+Every command computes under np.errstate(all="ignore") and prints only finite
+numbers: a quantity that overflows to inf or NaN ends the command with exit 2
+and one error line that names it.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ import numpy as np
 
 from .algebra import AlgebraCtx, from_free_expr
 from .forms import WEIGHT_PRESETS, WeightSeq, gram_matrix, preset_weights
-from .quantization import (coherent_quantization, ladder_set, mult_operator,
-                           operator_norm_bh, pk_operator, toeplitz,
+from .quantization import (MONOMIAL, ORTHONORMAL, coherent_quantization, ladder_set,
+                           mult_operator, operator_norm_bh, pk_operator, toeplitz,
                            toeplitz_flat, toeplitz_orthonormal, wick_rank_probe)
 from .symbols import ParseError, parse
 from . import verify as verify_mod
@@ -84,25 +84,50 @@ def _complex_pair(z: complex):
 
 
 def _emit(text: str, output: str | None):
+    """Write text and a newline to the --output file, or else to stdout; a
+    write that fails is a ConfigError."""
     if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(output, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --output {output}: {exc.strerror}")
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except OSError as exc:
+            # stdout was closed early, as by `| head`: what is left in its
+            # buffer goes to devnull, so the interpreter's flush at exit
+            # neither fails nor prints
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ConfigError(f"cannot write to stdout: {exc.strerror}")
 
 
-def _emit_matrix(args, q: complex, w: WeightSeq, basis: str, M: np.ndarray, **extra) -> int:
-    """Write a matrix with its point and basis: JSON with the extra keys before
-    the rows, or CSV rows of re,im pairs followed by one key,value line per
-    extra key."""
+def _emit_point(args, q: complex, w: WeightSeq, payload: dict) -> int:
+    """Write what matrix, gram or spectrum computed at (l, q, w).
+
+    JSON: l, q and weights, then the payload's keys in order, with the matrix
+    rows as [re, im] pairs.  CSV: the rows as re,im pairs, then one key,values
+    line for every other key but basis; a string is written as it is, a number
+    by repr and a dict by its values."""
+    if "rows" in payload:
+        payload = {**payload, "rows": [[_complex_pair(z) for z in row]
+                                       for row in payload["rows"]]}
     if args.format == "json":
-        payload = {"l": args.l, "q": _complex_pair(q), "weights": list(w.w), "basis": basis,
-                   **extra, "rows": [[_complex_pair(z) for z in row] for row in M]}
-        _emit(json.dumps(payload), args.output)
-    else:
-        lines = [",".join(repr(x) for z in row for x in _complex_pair(z)) for row in M]
-        lines += [f"{key},{value!r}" for key, value in extra.items()]
-        _emit("\n".join(lines), args.output)
+        _emit(json.dumps({"l": args.l, "q": _complex_pair(q), "weights": list(w.w),
+                          **payload}), args.output)
+        return 0
+    lines = [",".join(repr(x) for pair in row for x in pair)
+             for row in payload.get("rows", ())]
+    for key, value in payload.items():
+        if key in ("basis", "rows"):
+            continue
+        values = (value.values() if isinstance(value, dict)
+                  else value if isinstance(value, list) else (value,))
+        lines.append(",".join([key] + [v if isinstance(v, str) else repr(v) for v in values]))
+    _emit("\n".join(lines), args.output)
     return 0
 
 
@@ -119,10 +144,10 @@ def _symbol(args, ctx: AlgebraCtx):
 # builder from (g, w, ctx), where g is the --symbol element; pk ignores it.  A
 # builder looks its function up when it runs, so a rebound function is used.
 MATRIX_KINDS = {
-    "toeplitz": ("monomial", lambda g, w, ctx: toeplitz(g, w, ctx).matrix),
-    "toeplitz-on": ("orthonormal", lambda g, w, ctx: toeplitz_orthonormal(g, w, ctx).matrix),
-    "coherent": ("orthonormal", lambda g, w, ctx: coherent_quantization(g, w, ctx)),
-    "flat": ("orthonormal", lambda g, w, ctx: toeplitz_flat(g, w, ctx)),
+    "toeplitz": (MONOMIAL, lambda g, w, ctx: toeplitz(g, w, ctx).matrix),
+    "toeplitz-on": (ORTHONORMAL, lambda g, w, ctx: toeplitz_orthonormal(g, w, ctx).matrix),
+    "coherent": (ORTHONORMAL, lambda g, w, ctx: coherent_quantization(g, w, ctx)),
+    "flat": (ORTHONORMAL, lambda g, w, ctx: toeplitz_flat(g, w, ctx)),
     "pk": ("aw", lambda g, w, ctx: pk_operator(w)),
     "mult-left": ("aw", lambda g, w, ctx: mult_operator(g, "left", ctx)),
     "mult-right": ("aw", lambda g, w, ctx: mult_operator(g, "right", ctx)),
@@ -138,7 +163,7 @@ def cmd_matrix(args) -> int:
     # then drops it; a missing one is an error for every kind but pk
     g = None if args.symbol is None and args.which == "pk" else _symbol(args, ctx)
     M = _finite(f"the {args.which} matrix", build(g, w, ctx))
-    return _emit_matrix(args, q, w, basis, M)
+    return _emit_point(args, q, w, {"basis": basis, "rows": M})
 
 
 def cmd_gram(args) -> int:
@@ -146,7 +171,7 @@ def cmd_gram(args) -> int:
     w = parse_weights(args.weights, args.l, q)
     G = gram_matrix(w)
     det = _finite("the Gram determinant", float(np.linalg.det(G)))
-    return _emit_matrix(args, q, w, "aw", G, determinant=det)
+    return _emit_point(args, q, w, {"basis": "aw", "determinant": det, "rows": G})
 
 
 def cmd_spectrum(args) -> int:
@@ -169,27 +194,13 @@ def cmd_spectrum(args) -> int:
         # overflowed
         raise ConfigError("the ladder operator products of the wick order rank probe "
                           "are not finite for these inputs")
-    payload = {
-        "l": l,
-        "q": _complex_pair(q),
-        "weights": list(w.w),
+    return _emit_point(args, q, w, {
         "deformed_integers": list(ints),
         "deformed_factorials": list(facts),
         "number_operator_eigenvalues": eigenvalues,
         "creation_operator_norm": norm,
         "wick_order_rank_probe": {"rank": rank, "label": "informational"},
-    }
-    if args.format == "json":
-        _emit(json.dumps(payload), args.output)
-    else:
-        lines = []
-        for key in ("deformed_integers", "deformed_factorials",
-                    "number_operator_eigenvalues"):
-            lines.append(",".join([key] + [repr(v) for v in payload[key]]))
-        lines.append(f"creation_operator_norm,{norm!r}")
-        lines.append(f"wick_order_rank_probe,{payload['wick_order_rank_probe']['rank']},informational")
-        _emit("\n".join(lines), args.output)
-    return 0
+    })
 
 
 def cmd_verify(args) -> int:
@@ -267,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"algebra order, 2..{MAX_L}")
         p.add_argument("--q", default="1", help="deformation parameter, a+bi text")
         p.add_argument("--weights", required=True,
-                       help="comma list or preset: ones|factorial|qfactorial")
+                       help="comma list or preset: " + "|".join(WEIGHT_PRESETS))
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="write here instead of stdout")
 
@@ -291,7 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="a+bi text or grid id: "
                           + "|".join(q_id for q_id, _ in verify_mod.GRID_QS))
     p_verify.add_argument("--weights", default=None,
-                          help="comma list or preset: ones|factorial|qfactorial|rand1|rand2|rand3")
+                          help="comma list or preset: " + "|".join(
+                              dict.fromkeys(WEIGHT_PRESETS + verify_mod.GRID_WEIGHT_IDS)))
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tolerance", type=float, default=verify_mod.DEFAULT_TOL,
                           help="pass a check whose residual is below this; finite and > 0")

@@ -151,3 +151,15 @@ def test_criterion_10_cli_golden(capsys, report):
         # sanity: the payload is valid single-line JSON
         ok = ok and isinstance(json.loads(out), dict)
     report(10, "CLI golden files byte-for-byte", ok)
+
+
+@pytest.mark.parametrize("argv,golden", [
+    (["gram", "--l", "3", "--q", "1", "--weights", "1,2,6"], "gram_l3.csv"),
+    (["spectrum", "--l", "3", "--q", "2", "--weights", "factorial"], "spectrum_l3_q2.csv"),
+    (["matrix", "--l", "4", "--q", "0+1i", "--weights", "factorial", "--which", "coherent",
+      "--symbol", "th^2+i*thb"], "matrix_coherent_qi.csv"),
+])
+def test_cli_csv_golden(capsys, argv, golden):
+    """The CSV layout of matrix, gram and spectrum, byte for byte."""
+    assert main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgquant import AlgebraCtx, PGElement, WeightSeq, toeplitz
+from pgquant import MONOMIAL, ORTHONORMAL, AlgebraCtx, PGElement, WeightSeq, toeplitz
+from pgquant.forms import WEIGHT_PRESETS
 from pgquant import verify as verify_mod
 from pgquant.cli import MATRIX_KINDS, MAX_L, main, parse_complex, parse_weights, ConfigError
 
@@ -32,14 +33,19 @@ def json_records(results):
             for r in results]
 
 
+def fresh_env(**env):
+    """The environment with env added and this checkout's src first on the
+    path."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def run_fresh(*argv, **env):
     """`python -m pgquant argv` in a new interpreter, with env added to the
     environment."""
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, "-m", "pgquant", *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=fresh_env(**env))
 
 
 class TestParseHelpers:
@@ -225,6 +231,13 @@ def test_help_exits_0_and_lists_the_which_kinds_in_order(capsys, command):
     kinds = "{toeplitz,toeplitz-on,coherent,flat,pk,mult-left,mult-right}"
     assert (kinds in out) == (command == "matrix")
     assert ("exp(i*pi/3)" in out) == (command == "verify")
+    # --weights lists every preset that parse_weights and verify accept
+    presets = WEIGHT_PRESETS + (verify_mod.GRID_WEIGHT_IDS if command == "verify" else ())
+    assert all(preset in out for preset in presets)
+
+
+def test_matrix_kind_labels_are_the_library_bases():
+    assert {basis for basis, _ in MATRIX_KINDS.values()} <= {MONOMIAL, ORTHONORMAL, "aw"}
 
 
 class TestSignedValues:
@@ -326,6 +339,49 @@ class TestUsageErrorsInAFreshProcess:
         if argv[0] == "verify":
             # a sweep that ends early names the residual that overflowed
             assert proc.stderr.startswith("error: the residual of ")
+
+    @pytest.mark.parametrize("argv", [
+        ("matrix", "--l", "2", "--weights", "ones", "--which", "pk"),
+        ("gram", "--l", "2", "--weights", "ones"),
+        ("spectrum", "--l", "2", "--weights", "ones"),
+        ("verify", "--l", "2", "--q", "1", "--weights", "ones"),
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("target,reason", [
+        (".", "Is a directory"),
+        ("no-such-directory/out", "No such file or directory"),
+    ], ids=["directory", "missing-parent"])
+    def test_a_failed_output_write_exits_2(self, tmp_path, argv, target, reason):
+        output = tmp_path / target
+        proc = run_fresh(*argv, "--output", str(output))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: cannot write --output {output}: {reason}\n"
+
+    @pytest.mark.parametrize("argv,read", [
+        (("gram", "--l", "2", "--weights", "ones"), 0),
+        (("verify", "--l", "2", "--q", "1", "--weights", "ones"), 0),
+        # about 1 MB of CSV, more than a pipe buffer holds, so the write is
+        # still under way when the reader goes
+        (("matrix", "--l", "12", "--weights", "ones", "--which", "mult-left",
+          "--symbol", "th", "--format", "csv"), 10),
+    ], ids=["gram-without-reader", "verify-without-reader", "matrix-closed-mid-write"])
+    def test_a_closed_stdout_exits_2(self, argv, read):
+        """stdout is a pipe whose reader takes `read` bytes and goes, or is gone
+        before the start when `read` is 0."""
+        # stdout block-buffered, as it is by default, so that bytes are left
+        # for the interpreter's flush at exit
+        env = fresh_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        reader, writer = os.pipe()
+        if not read:
+            os.close(reader)
+        proc = subprocess.Popen([sys.executable, "-m", "pgquant", *argv], stdout=writer,
+                                stderr=subprocess.PIPE, text=True, env=env)
+        os.close(writer)
+        if read:
+            assert len(os.read(reader, read)) == read
+            os.close(reader)
+        err = proc.stderr.read()
+        assert (proc.wait(), err) == (2, "error: cannot write to stdout: Broken pipe\n")
 
 
 class TestFiniteOutputGate:
