@@ -179,6 +179,18 @@ def scatter_sum(cells: np.ndarray, terms: np.ndarray, size: int) -> np.ndarray:
     return out.reshape(n, size)
 
 
+def monomials(l: int, positions) -> np.ndarray:
+    """A fresh (k, l, l) stack of the tables of the monomials th^i thb^j at
+    the k flat positions i*l+j.  Only those k*l^2 entries are built, and none
+    is cached: all l^2 tables hold l^4 entries, 16 MB at l = 32."""
+    out = np.zeros((len(positions), l * l), dtype=complex)
+    # item assignments, not a fancy index: from_free_expr asks for one table
+    # per leaf of its tree, and at that size index arrays cost more than it
+    for k, pos in enumerate(positions):
+        out[k, pos] = 1.0
+    return out.reshape(-1, l, l)
+
+
 def normal_order(word, ctx: AlgebraCtx) -> PGElement:
     """Reduce a word over {th, thb} to coefficient * th^a * thb^b.
 
@@ -317,36 +329,30 @@ def from_free_expr(e: FreeExpr, ctx: AlgebraCtx) -> PGElement:
     return PGElement(ctx.l, _free_expr_table(e, ctx))
 
 
-def _monomial_table(l: int, i: int = 0, j: int = 0) -> np.ndarray:
-    """The coefficient table of th^i thb^j."""
-    table = np.zeros((l, l), dtype=complex)
-    table[i, j] = 1.0
-    return table
-
-
 def _free_expr_table(e: FreeExpr, ctx: AlgebraCtx) -> np.ndarray:
     """The (l, l) table of from_free_expr(e, ctx), evaluated node by node on
     raw tables: no PGElement per node, and one single-block multiply_stack
     call per product."""
     if isinstance(e, Const):
-        return _monomial_table(ctx.l) * complex(e.value)
+        return monomials(ctx.l, [0])[0] * complex(e.value)
     if isinstance(e, QSym):
-        return _monomial_table(ctx.l) * ctx.q
+        return monomials(ctx.l, [0])[0] * ctx.q
     if isinstance(e, Gen):
-        return _monomial_table(ctx.l, 1, 0) if e.name == THETA else _monomial_table(ctx.l, 0, 1)
+        # th at position 1*l+0, thb at 0*l+1
+        return monomials(ctx.l, [ctx.l if e.name == THETA else 1])[0]
     if isinstance(e, Sum):
         out = np.zeros((ctx.l, ctx.l), dtype=complex)
         for t in e.terms:
             out = out + _free_expr_table(t, ctx)
         return out
     if isinstance(e, Prod):
-        out = _monomial_table(ctx.l)
+        out = monomials(ctx.l, [0])[0]
         for fct in e.factors:
             out = _times(out, _free_expr_table(fct, ctx), ctx)
         return out
     if isinstance(e, Pow):
         if e.exponent == 0:
-            return _monomial_table(ctx.l)
+            return monomials(ctx.l, [0])[0]
         base = _free_expr_table(e.base, ctx)
         # square-and-multiply over the exponent's bits, most significant first
         out = base

@@ -11,12 +11,14 @@ Toeplitz-family kernels take no q: th^a * g reorders no generator.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraCtx, PGElement, frozen, gather, index_tuples, product_support,
-                      scatter_sum, z_map)
+from .algebra import (AlgebraCtx, PGElement, frozen, gather, index_tuples, monomials,
+                      product_support, scatter_sum, z_map)
 from .forms import WeightSeq, form_stack
 
 MONOMIAL = "monomial"
@@ -90,10 +92,9 @@ def project_pk_stack(F: np.ndarray, w: WeightSeq, mode: str = "closed") -> np.nd
     if mode == "closed":
         out[:, :, 0] = _project_column(F, w)
     elif mode == "kernel":
-        # <th^k, F[m]>_w for every (m, k), taken row by row
-        basis = np.zeros((l, l, l), dtype=complex)
-        basis[np.arange(l), np.arange(l), 0] = 1.0
-        pairs = form_stack(np.tile(basis, (len(F), 1, 1)), np.repeat(F, l, axis=0), w)
+        # <th^k, F[m]>_w for every (m, k), taken row by row; th^k sits at k*l
+        powers = np.tile(monomials(l, range(0, l * l, l)), (len(F), 1, 1))
+        pairs = form_stack(powers, np.repeat(F, l, axis=0), w)
         ws = w.arr()
         # real and imaginary parts divided apart, which gives the quotient
         # Python's complex division by w_k gives; numpy's complex division
@@ -307,21 +308,17 @@ class LadderSet:
 
 def ladder_set(w: WeightSeq, ctx: AlgebraCtx) -> LadderSet:
     """Creation (degree-raising), annihilation (weighted backward shift), and
-    the diagonal number operator with eigenvalues w_a / w_{a-1}.  ctx is read
-    only for its order."""
-    l = ctx.l
-    creation = toeplitz(PGElement.basis(l, 1, 0), w, ctx)
-    annihilation = toeplitz(PGElement.basis(l, 0, 1), w, ctx)
-    number = OperatorBH(l, creation.matrix @ annihilation.matrix, MONOMIAL)
-    ints = [0.0]
-    for a in range(1, l):
-        ints.append(w.w[a] / w.w[a - 1])
-    facts = []
-    acc = 1.0
-    for a in range(l):
-        acc *= ints[a] if a > 0 else 1.0
-        facts.append(acc)
-    return LadderSet(creation, annihilation, number, tuple(ints), tuple(facts))
+    the diagonal number operator with eigenvalues w_a / w_{a-1}: the first two
+    are the Toeplitz operators of th and thb.  ctx is read only to check its
+    order."""
+    if ctx.l != w.l:
+        raise ValueError("order mismatch")
+    l = w.l
+    creation, annihilation = toeplitz_stack(monomials(l, [l, 1]), w)
+    ints = (0.0, *(w.w[a] / w.w[a - 1] for a in range(1, l)))
+    facts = tuple(itertools.accumulate(ints[1:], operator.mul, initial=1.0))
+    return LadderSet(OperatorBH(l, creation, MONOMIAL), OperatorBH(l, annihilation, MONOMIAL),
+                     OperatorBH(l, creation @ annihilation, MONOMIAL), ints, facts)
 
 
 def _singular_values(M: np.ndarray) -> np.ndarray:

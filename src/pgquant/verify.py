@@ -42,8 +42,7 @@ from .forms import WeightSeq, adjoint_wrt_form, form_stack, gram_matrix, preset_
 from .quantization import (ORTHONORMAL, coherent_quantization_stack, convert_basis_stack,
                            ladder_set, matrix_rank, mult_operator, operator_norm_bh, pk_operator,
                            project_pk, project_pk_stack, span_rank, toeplitz,
-                           toeplitz_adjoint, toeplitz_adjoint_stack, toeplitz_flat_stack,
-                           toeplitz_stack)
+                           toeplitz_adjoint_stack, toeplitz_flat_stack, toeplitz_stack)
 
 GRID_LS = (2, 3, 4, 5, 6)
 GRID_QS = (
@@ -118,16 +117,12 @@ def _interleave(*lists) -> list:
     return [x for group in zip(*lists) for x in group]
 
 
-def _basis_symbols(l: int) -> np.ndarray:
-    """The l^2 monomials th^i thb^j as an (l^2, l, l) stack, (i, j) row-major."""
-    return np.eye(l * l, dtype=complex).reshape(l * l, l, l)
-
-
 @functools.cache
 def _order_ctx(l: int) -> AlgebraCtx:
-    """The context of order l and q = 1, for the wrappers that read only the
-    order of theirs (toeplitz, ladder_set): a check of the weights alone
-    passes it, and so reads no q."""
+    """The context of order l and q = 1, for ladder_set, which reads its
+    context only to check the order, and for norm_bound's toeplitz, which
+    reads only its order: a check of the weights alone passes it, and so
+    reads no q."""
     return AlgebraCtx(l)
 
 
@@ -211,10 +206,10 @@ def check_associativity(ctx, rng):
 
 
 def check_defining_relation(ctx):
-    th = PGElement.basis(ctx.l, 1, 0)
-    thb = PGElement.basis(ctx.l, 0, 1)
-    res = alg.multiply(th, thb, ctx) - ctx.q * alg.multiply(thb, th, ctx)
-    return [_max_abs(res.coeffs)]
+    l = ctx.l
+    # th at position 1*l+0 and thb at 0*l+1: the products th thb and thb th
+    th_thb, thb_th = multiply_stack(alg.monomials(l, [l, 1]), alg.monomials(l, [1, l]), ctx)
+    return [_max_abs(th_thb - thb_th * ctx.q)]
 
 
 def check_star_criterion(ctx, rng, tol):
@@ -274,9 +269,9 @@ def check_free_expr_linearity(ctx, rng):
         e1, e2 = _random_expr(rng), _random_expr(rng)
         a, b = (complex(*pair) for pair in rng.standard_normal((2, 2)))
         combined = alg.Sum((alg.Prod((alg.Const(a), e1)), alg.Prod((alg.Const(b), e2))))
-        lhs = alg.from_free_expr(combined, ctx)
-        rhs = a * alg.from_free_expr(e1, ctx) + b * alg.from_free_expr(e2, ctx)
-        residuals.append(_max_abs(lhs.coeffs - rhs.coeffs))
+        lhs, t1, t2 = (alg.from_free_expr(e, ctx).coeffs for e in (combined, e1, e2))
+        # a scalar times an element multiplies its table on the right
+        residuals.append(_max_abs(lhs - (t1 * a + t2 * b)))
     return residuals
 
 
@@ -313,7 +308,7 @@ def check_adjoint_wrt_form(w, rng):
 def check_orthonormal_basis(w):
     l = w.l
     # phi_j = w_j^{-1/2} th^j, and every pair (phi_j, phi_k), (j, k) row-major
-    phi = _basis_symbols(l)[::l] / np.sqrt(w.arr())[:, None, None]
+    phi = alg.monomials(l, range(0, l * l, l)) / np.sqrt(w.arr())[:, None, None]
     pairs = form_stack(np.repeat(phi, l, axis=0), np.tile(phi, (l, 1, 1)), w)
     return _abs_each(pairs - np.eye(l).ravel())
 
@@ -338,7 +333,8 @@ def check_pk_projection(w, rng):
 
 def check_toeplitz_dual_path(w, rng):
     # every basis symbol, then 50 random ones
-    symbols = np.concatenate([_basis_symbols(w.l), random_elements(rng, (50,), w.l)])
+    symbols = np.concatenate([alg.monomials(w.l, range(w.l ** 2)),
+                              random_elements(rng, (50,), w.l)])
     return _max_abs_each(toeplitz_stack(symbols, w, "closed")
                          - toeplitz_stack(symbols, w, "projection"))
 
@@ -370,14 +366,14 @@ def check_compression_identity(ctx, w, rng):
 
 
 def check_toeplitz_iso_rank(w):
-    if span_rank(toeplitz_stack(_basis_symbols(w.l), w)) != w.l * w.l:
+    if span_rank(toeplitz_stack(alg.monomials(w.l, range(w.l ** 2)), w)) != w.l ** 2:
         raise CheckFailure()
     return []
 
 
 def check_column_structure(w):
     l = w.l
-    M = toeplitz_stack(_basis_symbols(l), w)
+    M = toeplitz_stack(alg.monomials(l, range(l * l)), w)
     Mon = convert_basis_stack(M, w, ORTHONORMAL)
     # the column formula, entry by entry: T(th^i thb^j) holds w_{i+a}/w_{i+a-j}
     # at row i+a-j of column a, and nothing else
@@ -396,12 +392,11 @@ def check_adjoint_symbol_rule(w, rng, tol):
     residuals = _max_abs_each(lhs - toeplitz_stack(conjugate_stack(g), w))
     # corollary witnesses: a self-adjoint symbol gives a self-adjoint operator,
     # a non-self-adjoint symbol does not
-    g_sa = PGElement.basis(l, 1, 0) + PGElement.basis(l, 0, 1) + PGElement.basis(l, 1, 1)
-    T = toeplitz(g_sa, w, _order_ctx(l))
-    residuals.append(_max_abs(toeplitz_adjoint(T, w).matrix - T.matrix))
-    g_nsa = PGElement.basis(l, 1, 0)
-    Tn = toeplitz(g_nsa, w, _order_ctx(l))
-    if np.allclose(toeplitz_adjoint(Tn, w).matrix, Tn.matrix, atol=tol):
+    th, thb, th_thb = alg.monomials(l, [l, 1, l + 1])
+    T = toeplitz_stack(np.array([th + thb + th_thb, th]), w)
+    T_star = toeplitz_adjoint_stack(T, w)
+    residuals.append(_max_abs(T_star[0] - T[0]))
+    if np.allclose(T_star[1], T[1], atol=tol):
         raise CheckFailure()
     return residuals
 
@@ -422,7 +417,7 @@ def check_multiplicativity(ctx, w, rng):
 
 
 def _anti_wick_words(w) -> np.ndarray:
-    """Every annihilation^j creation^i, (i, j) row-major as in _basis_symbols."""
+    """Every annihilation^j creation^i, at the monomial position i*l+j."""
     lad = ladder_set(w, _order_ctx(w.l))
     A, C = (np.array([np.linalg.matrix_power(op.matrix, k) for k in range(w.l)])
             for op in (lad.annihilation, lad.creation))
@@ -430,7 +425,8 @@ def _anti_wick_words(w) -> np.ndarray:
 
 
 def check_anti_wick_factorization(w):
-    return _max_abs_each(toeplitz_stack(_basis_symbols(w.l), w) - _anti_wick_words(w))
+    return _max_abs_each(toeplitz_stack(alg.monomials(w.l, range(w.l ** 2)), w)
+                         - _anti_wick_words(w))
 
 
 def check_operator_basis_rank(w):
@@ -450,35 +446,31 @@ def check_quantization_equivalences(w, rng):
     g = random_elements(rng, (10,), l)
     residuals += _max_abs_each(coherent_quantization_stack(g, w, "closed")
                                - coherent_quantization_stack(g, w, "berezin"))
-    if span_rank(coherent_quantization_stack(_basis_symbols(l), w)) != l * l:
+    if span_rank(coherent_quantization_stack(alg.monomials(l, range(l * l)), w)) != l * l:
         raise CheckFailure()
     return residuals
 
 
 def check_mixed_products(ctx, w):
     l = ctx.l
-    T_eta = toeplitz(PGElement.basis(l, 1, 0), w, ctx).matrix
-    T_etabar = toeplitz(PGElement.basis(l, 0, 1), w, ctx).matrix
-    T_mixed = toeplitz(PGElement.basis(l, 1, 1), w, ctx).matrix
     # the reversed word normal-orders to q^{-1} th thb, so q * T of it matches
-    reversed_symbol = alg.normal_order((alg.THETA_BAR, alg.THETA), ctx)
-    return [_max_abs(T_mixed - T_etabar @ T_eta),
-            _max_abs(ctx.q * toeplitz(reversed_symbol, w, ctx).matrix - T_mixed)]
+    reversed_symbol = alg.normal_order((alg.THETA_BAR, alg.THETA), ctx).coeffs
+    T_eta, T_etabar, T_mixed, T_reversed = toeplitz_stack(
+        np.concatenate([alg.monomials(l, [l, 1, l + 1]), reversed_symbol[None]]), w)
+    return [_max_abs(T_mixed - T_etabar @ T_eta), _max_abs(ctx.q * T_reversed - T_mixed)]
 
 
 def check_q_commute_compression(ctx, w):
     l = ctx.l
-    th = PGElement.basis(l, 1, 0)
-    thb = PGElement.basis(l, 0, 1)
-    M_th = mult_operator(th, "right", ctx)
-    M_thb = mult_operator(thb, "right", ctx)
+    symbols = alg.monomials(l, [l, 1])  # th, thb
+    M_th, M_thb = (mult_operator(PGElement(l, g), "right", ctx) for g in symbols)
+    T_th, T_thb = toeplitz_stack(symbols, w)
     P = pk_operator(w)
     # the holomorphic block: rows and columns a*l of th^a
     comp_thb = (P @ M_thb)[::l, ::l]
     comp_th = (P @ M_th)[::l, ::l]
     return [_max_abs(M_thb @ M_th - ctx.q * M_th @ M_thb),
-            _max_abs(comp_thb - toeplitz(thb, w, ctx).matrix),
-            _max_abs(comp_th - toeplitz(th, w, ctx).matrix)]
+            _max_abs(comp_thb - T_thb), _max_abs(comp_th - T_th)]
 
 
 def check_number_operator(w, rng, tol):
@@ -502,7 +494,7 @@ def check_number_operator(w, rng, tol):
 
 def check_diagonal_symbols(w):
     l = w.l
-    M = toeplitz_stack(_basis_symbols(l)[::l + 1], w)  # every T(th^i thb^i)
+    M = toeplitz_stack(alg.monomials(l, range(0, l * l, l + 1)), w)  # every T(th^i thb^i)
     diag = np.real(np.diagonal(M, axis1=1, axis2=2))
     expect = [[w.w[i + a] / w.w[a] if i + a < l else 0.0 for a in range(l)] for i in range(l)]
     if any(matrix_rank(m) != l - i for i, m in enumerate(M)):
@@ -542,10 +534,9 @@ def check_reproducing_truncation(ctx, w, rng):
     terms = tuple(alg.Prod((alg.Const(coeffs[j]), alg.Pow(alg.Gen(alg.THETA), j)))
                   for j in range(N + 1))
     image = alg.from_free_expr(alg.Sum(terms), ctx)
-    truncated = PGElement.zero(l)
-    for j in range(l):
-        truncated = truncated + coeffs[j] * PGElement.basis(l, j, 0)
-    return [_max_abs(project_pk(image, w).coeffs - truncated.coeffs)]
+    # the sum of coeffs[j] th^j over j < l; th^j sits at j*l
+    truncated = (alg.monomials(l, range(0, l * l, l)) * coeffs[:l, None, None]).sum(axis=0)
+    return [_max_abs(project_pk(image, w).coeffs - truncated)]
 
 
 CHECKS = (

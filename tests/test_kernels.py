@@ -12,7 +12,9 @@ sums each output in the loop's order, so not a bit may move.  Each kernel's
 stacked form, on a stack of n tables, must equal n single calls bit for bit,
 and a stacked draw must give the samples of a loop of single draws.  Each
 index table must list the tuples a Python enumeration keeps, and the Toeplitz
-family, which reads no q, must give the same bytes at every grid q.
+family, which reads no q, must give the same bytes at every grid q.  The
+monomial builder must give PGElement.basis's tables, and ladder_set, one
+stacked Toeplitz call, the bytes of the two wrapper calls and loops it replaced.
 """
 import itertools
 import math
@@ -33,8 +35,8 @@ from pgquant import (MONOMIAL, ORTHONORMAL, AlgebraCtx, Const, Gen, Neg, Operato
                      from_free_expr, gram_matrix, ladder_set, mult_operator, multiply,
                      normal_order, parse, pk_operator, project_pk, project_pk_bar,
                      toeplitz, toeplitz_adjoint, toeplitz_flat, toeplitz_orthonormal)
-from pgquant.algebra import (BLOCK_TERMS, conjugate_stack, multiply_stack, product_support,
-                             scatter_sum)
+from pgquant.algebra import (BLOCK_TERMS, conjugate_stack, monomials, multiply_stack,
+                             product_support, scatter_sum)
 from pgquant.forms import (_berezin_support, _charge_hankels, _gram_support, form_stack,
                            preset_weights)
 from pgquant.quantization import (_projection_support, _toeplitz_support,
@@ -194,6 +196,65 @@ def loop_form_definitional(f, g, w):
             for b in range(k + 1):
                 terms.append(wt * (fc[a, b] * gc[k - a, k - b]))
     return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
+
+
+def loop_ladder_set(w, ctx):
+    l = ctx.l
+    creation = toeplitz(PGElement.basis(l, 1, 0), w, ctx)
+    annihilation = toeplitz(PGElement.basis(l, 0, 1), w, ctx)
+    number = OperatorBH(l, creation.matrix @ annihilation.matrix, MONOMIAL)
+    ints = [0.0]
+    for a in range(1, l):
+        ints.append(w.w[a] / w.w[a - 1])
+    facts = []
+    acc = 1.0
+    for a in range(l):
+        acc *= ints[a] if a > 0 else 1.0
+        facts.append(acc)
+    return creation, annihilation, number, tuple(ints), tuple(facts)
+
+
+@pytest.mark.parametrize("l", range(2, 8))
+def test_monomials_are_the_basis_elements(l):
+    """Every position, one at a time and all at once, has the bytes of
+    PGElement.basis; each call returns a fresh writable stack."""
+    want = [PGElement.basis(l, i, j).coeffs.tobytes() for i in range(l) for j in range(l)]
+    assert [monomials(l, [p])[0].tobytes() for p in range(l * l)] == want
+    every = monomials(l, range(l * l))
+    assert every.shape == (l * l, l, l) and [m.tobytes() for m in every] == want
+    picked = monomials(l, np.array([l, 1, l, 0]))
+    assert [m.tobytes() for m in picked] == [want[l], want[1], want[l], want[0]]
+    assert monomials(l, []).shape == (0, l, l)
+    again = monomials(l, [l])
+    assert again.flags.writeable and not np.shares_memory(again, monomials(l, [l]))
+
+
+def ladder_weights(l):
+    """U(0.25, 4) weights, factorials, and 1e-300, 1, 1e300 repeated, whose
+    deformed integers underflow to 0 and factorials overflow to inf and NaN."""
+    yield rand_weights(np.random.default_rng([l, 22]), l)
+    yield preset_weights("factorial", l)
+    yield WeightSeq(l, ((1e-300, 1.0, 1e300) * l)[:l])
+
+
+@pytest.mark.parametrize("l", [*range(2, 8), 12, 24])
+def test_ladder_set_equals_its_loop(l):
+    for w in ladder_weights(l):
+        # the weight ratios of the extreme weights overflow, as in the CLI
+        with np.errstate(all="ignore"):
+            lad = ladder_set(w, AlgebraCtx(l))
+            creation, annihilation, number, ints, facts = loop_ladder_set(w, AlgebraCtx(l))
+        for got, want in ((lad.creation, creation), (lad.annihilation, annihilation),
+                          (lad.number, number)):
+            assert got.basis == MONOMIAL and got.matrix.tobytes() == want.matrix.tobytes()
+        for got, want in ((lad.deformed_ints, ints), (lad.deformed_factorials, facts)):
+            assert type(got) is tuple and len(got) == l
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_ladder_set_rejects_a_context_of_another_order():
+    with pytest.raises(ValueError, match="order mismatch"):
+        ladder_set(preset_weights("ones", 3), AlgebraCtx(4))
 
 
 @pytest.mark.parametrize("l", range(2, 10))

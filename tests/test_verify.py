@@ -6,9 +6,12 @@ are NaN or infinite, and that every check keeps that contract.  The checks
 that draw their samples as stacks are pinned to the per-sample loops they
 replaced: the same residuals, bit for bit.  The checks that make one stacked
 call per family of basis monomials are pinned to the per-monomial loops they
-replaced: the same record.  The toeplitz_dual_path records are the same
-bytes under another BLAS kernel.  A check that draws nothing runs once per
-distinct input, and the records do not depend on what the cache holds.
+replaced: the same record.  The checks that compute on raw tables are pinned
+to the element and operator route they replaced: the same residuals, bit for
+bit, which also pins the operand order of each scalar product.  The
+toeplitz_dual_path records are the same bytes under another BLAS kernel.  A
+check that draws nothing runs once per distinct input, and the records do not
+depend on what the cache holds.
 """
 import inspect
 import itertools
@@ -460,6 +463,56 @@ def loop_quantization_equivalences(ctx, w, rng, tol):
     return residuals
 
 
+# --- each table check against the element route it replaced -------------------
+# Each fixed symbol built as a PGElement and each operator as an OperatorBH,
+# through the single-element wrappers.  A scalar times an element multiplies
+# its table by the scalar on the right, and numpy's complex s * x and x * s
+# may differ in the last bit, so these pin each check's operand order too.
+
+def loop_defining_relation(ctx, w, rng, tol):
+    th = PGElement.basis(ctx.l, 1, 0)
+    thb = PGElement.basis(ctx.l, 0, 1)
+    res = alg.multiply(th, thb, ctx) - ctx.q * alg.multiply(thb, th, ctx)
+    return [max_abs(res.coeffs)]
+
+
+def loop_mixed_products(ctx, w, rng, tol):
+    l = ctx.l
+    T_eta = toeplitz(PGElement.basis(l, 1, 0), w, ctx).matrix
+    T_etabar = toeplitz(PGElement.basis(l, 0, 1), w, ctx).matrix
+    T_mixed = toeplitz(PGElement.basis(l, 1, 1), w, ctx).matrix
+    reversed_symbol = alg.normal_order((alg.THETA_BAR, alg.THETA), ctx)
+    return [max_abs(T_mixed - T_etabar @ T_eta),
+            max_abs(ctx.q * toeplitz(reversed_symbol, w, ctx).matrix - T_mixed)]
+
+
+def loop_q_commute_compression(ctx, w, rng, tol):
+    l = ctx.l
+    th = PGElement.basis(l, 1, 0)
+    thb = PGElement.basis(l, 0, 1)
+    M_th = mult_operator(th, "right", ctx)
+    M_thb = mult_operator(thb, "right", ctx)
+    P = pk_operator(w)
+    comp_thb = (P @ M_thb)[::l, ::l]
+    comp_th = (P @ M_th)[::l, ::l]
+    return [max_abs(M_thb @ M_th - ctx.q * M_th @ M_thb),
+            max_abs(comp_thb - toeplitz(thb, w, ctx).matrix),
+            max_abs(comp_th - toeplitz(th, w, ctx).matrix)]
+
+
+def loop_reproducing_truncation(ctx, w, rng, tol):
+    l = ctx.l
+    N = l + 3
+    coeffs = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
+    terms = tuple(alg.Prod((alg.Const(coeffs[j]), alg.Pow(alg.Gen(alg.THETA), j)))
+                  for j in range(N + 1))
+    image = alg.from_free_expr(alg.Sum(terms), ctx)
+    truncated = PGElement.zero(l)
+    for j in range(l):
+        truncated = truncated + coeffs[j] * PGElement.basis(l, j, 0)
+    return [max_abs(project_pk(image, w).coeffs - truncated.coeffs)]
+
+
 # --- each basis-family check against the per-monomial loop it replaced -------
 # One kernel call per basis monomial or pair.  A residual list here is shaped
 # by its loop, so what must agree is the record run_point makes of it.
@@ -546,7 +599,7 @@ def outcome(fn, ctx, w, seed):
 
 
 def test_every_batched_check_has_its_loop():
-    assert set(LOOPS) <= set(verify_mod.CHECK_NAMES) and len(LOOPS) == 20
+    assert set(LOOPS) <= set(verify_mod.CHECK_NAMES) and len(LOOPS) == 24
     assert set(BASIS_FAMILY_LOOPS) <= set(LOOPS)
 
 
