@@ -154,22 +154,31 @@ def pk_operator(w: WeightSeq) -> np.ndarray:
 
 # --- multiplication and Toeplitz operators ---------------------------------
 
+def mult_operator_stack(G: np.ndarray, side: str, ctx: AlgebraCtx) -> np.ndarray:
+    """mult_operator of each symbol of an (n, l, l) stack, as (n, l^2, l^2)."""
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    l = ctx.l
+    # F -> F*g reads g at the right factor of each product-table entry and F at
+    # the left one; F -> g*F swaps the two roles; the phase is q^{-bc} either way.
+    # Each entry occurs once, so it is assigned through one flat index (faster
+    # than M[:, idx]), matrix k at offset k*l^4; + 0.0 turns a -0.0 product into
+    # the +0.0 that a sum onto zeros gives.
+    left, right, bc, cells = product_support(l)
+    g_at, cols = (right, left) if side == "right" else (left, right)
+    at = cells * (l * l) + cols
+    if len(G) > 1:
+        at = at + l ** 4 * np.arange(len(G))[:, None]
+    M = np.zeros(len(G) * l ** 4, dtype=complex)
+    M[at] = (gather(G, g_at) * ctx.qinv_powers[bc][None] + 0.0).reshape(at.shape)
+    return M.reshape(len(G), l * l, l * l)
+
+
 def mult_operator(g: PGElement, side: str, ctx: AlgebraCtx) -> np.ndarray:
     """Matrix of F -> F*g (side="right") or F -> g*F (side="left")."""
     if g.l != ctx.l:
         raise ValueError("order mismatch")
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    l = ctx.l
-    # F -> F*g reads g at the right factor of each product-table entry and F
-    # at the left one; F -> g*F swaps the two roles.  The phase is q^{-bc}
-    # either way.  Each (row, column) pair occurs once, so entries are assigned;
-    # + 0.0 turns a -0.0 product into the +0.0 that a sum onto zeros gives.
-    left, right, bc, cells = product_support(l)
-    g_at, cols = (right, left) if side == "right" else (left, right)
-    M = np.zeros(l ** 4, dtype=complex)
-    M[cells * (l * l) + cols] = g.coeffs.ravel()[g_at] * ctx.qinv_powers[bc] + 0.0
-    return M.reshape(l * l, l * l)
+    return mult_operator_stack(g.coeffs[None], side, ctx)[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,6 +314,11 @@ class LadderSet:
     deformed_ints: tuple
     deformed_factorials: tuple
 
+    def powers(self) -> tuple:
+        """(C, A): creation^k and annihilation^k for k = 0..l, one matrix_power each."""
+        return tuple(np.array([np.linalg.matrix_power(op.matrix, k) for k in range(op.l + 1)])
+                     for op in (self.creation, self.annihilation))
+
 
 def ladder_set(w: WeightSeq, ctx: AlgebraCtx) -> LadderSet:
     """Creation (degree-raising), annihilation (weighted backward shift), and
@@ -357,7 +371,5 @@ def wick_rank_probe(w: WeightSeq, ctx: AlgebraCtx) -> int:
     """Rank of the span of the reverse-ordered products creation^i
     annihilation^j, informational only; ctx is read only for its order."""
     l = ctx.l
-    lad = ladder_set(w, ctx)
-    return span_rank(np.linalg.matrix_power(lad.creation.matrix, i)
-                     @ np.linalg.matrix_power(lad.annihilation.matrix, j)
-                     for i in range(l) for j in range(l))
+    C, A = ladder_set(w, ctx).powers()
+    return span_rank(C[i] @ A[j] for i in range(l) for j in range(l))

@@ -15,6 +15,8 @@ index table must list the tuples a Python enumeration keeps, and the Toeplitz
 family, which reads no q, must give the same bytes at every grid q.  The
 monomial builder must give PGElement.basis's tables, and ladder_set, one
 stacked Toeplitz call, the bytes of the two wrapper calls and loops it replaced.
+The ladder powers must be matrix_power's bytes, and wick_rank_probe, which
+reads them, the rank of its per-pair loop.
 """
 import itertools
 import math
@@ -34,14 +36,15 @@ from pgquant import (MONOMIAL, ORTHONORMAL, AlgebraCtx, Const, Gen, Neg, Operato
                      adjoint_wrt_form, coherent_quantization, conjugate, convert_basis, form,
                      from_free_expr, gram_matrix, ladder_set, mult_operator, multiply,
                      normal_order, parse, pk_operator, project_pk, project_pk_bar,
-                     toeplitz, toeplitz_adjoint, toeplitz_flat, toeplitz_orthonormal)
+                     toeplitz, toeplitz_adjoint, toeplitz_flat, toeplitz_orthonormal,
+                     wick_rank_probe)
 from pgquant.algebra import (BLOCK_TERMS, conjugate_stack, monomials, multiply_stack,
                              product_support, scatter_sum)
 from pgquant.forms import (_berezin_support, _charge_hankels, _gram_support, form_stack,
                            preset_weights)
 from pgquant.quantization import (_projection_support, _toeplitz_support,
                                   coherent_quantization_stack, convert_basis_stack,
-                                  project_pk_stack,
+                                  mult_operator_stack, project_pk_stack, span_rank,
                                   toeplitz_adjoint_stack, toeplitz_flat_stack, toeplitz_stack)
 from pgquant.verify import (GRID_QS, _random_expr, compression_samples, random_element,
                            random_elements)
@@ -244,12 +247,41 @@ def test_ladder_set_equals_its_loop(l):
         with np.errstate(all="ignore"):
             lad = ladder_set(w, AlgebraCtx(l))
             creation, annihilation, number, ints, facts = loop_ladder_set(w, AlgebraCtx(l))
+            # every power k <= l, as matrix_power gives it
+            powers = [(got, [np.linalg.matrix_power(op.matrix, k) for k in range(l + 1)])
+                      for got, op in zip(lad.powers(), (creation, annihilation))]
         for got, want in ((lad.creation, creation), (lad.annihilation, annihilation),
                           (lad.number, number)):
             assert got.basis == MONOMIAL and got.matrix.tobytes() == want.matrix.tobytes()
+        for got, want in powers:
+            assert got.shape == (l + 1, l, l) and [p.tobytes() for p in got] == [
+                p.tobytes() for p in want]
         for got, want in ((lad.deformed_ints, ints), (lad.deformed_factorials, facts)):
             assert type(got) is tuple and len(got) == l
             assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def loop_wick_rank_probe(w, ctx):
+    l = ctx.l
+    lad = ladder_set(w, ctx)
+    return span_rank(np.linalg.matrix_power(lad.creation.matrix, i)
+                     @ np.linalg.matrix_power(lad.annihilation.matrix, j)
+                     for i in range(l) for j in range(l))
+
+
+@pytest.mark.parametrize("l", [*range(2, 8), 12, 24])
+def test_wick_rank_probe_equals_its_loop(l):
+    """The same rank, or the same LinAlgError where the extreme weights put
+    inf or NaN into a product."""
+    def outcome(probe, w):
+        try:
+            with np.errstate(all="ignore"):
+                return probe(w, AlgebraCtx(l))
+        except np.linalg.LinAlgError as failed:
+            return ("LinAlgError", str(failed))
+
+    for w in ladder_weights(l):
+        assert outcome(wick_rank_probe, w) == outcome(loop_wick_rank_probe, w)
 
 
 def test_ladder_set_rejects_a_context_of_another_order():
@@ -794,6 +826,10 @@ def test_stacked_kernels_equal_single_calls(l, q, n):
     assert np.array_equal(toeplitz_flat_stack(G, w),
                           each(lambda g: toeplitz_flat(g, w, ctx), G))
     assert np.array_equal(conjugate_stack(F), each(lambda f: conjugate(f).coeffs, F))
+    for side in ("left", "right"):
+        # bytes, so that a -0.0 entry would show
+        assert mult_operator_stack(G, side, ctx).tobytes() == each(
+            lambda g: mult_operator(g, side, ctx), G).tobytes()
     T = toeplitz_stack(G, w)
     assert np.array_equal(toeplitz_adjoint_stack(T, w), [
         toeplitz_adjoint(OperatorBH(l, M, MONOMIAL), w).matrix for M in T])

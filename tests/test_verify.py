@@ -8,8 +8,10 @@ replaced: the same residuals, bit for bit.  The checks that make one stacked
 call per family of basis monomials are pinned to the per-monomial loops they
 replaced: the same record.  The checks that compute on raw tables are pinned
 to the element and operator route they replaced: the same residuals, bit for
-bit, which also pins the operand order of each scalar product.  The
-toeplitz_dual_path records are the same bytes under another BLAS kernel.  A
+bit, which also pins the operand order of each scalar product.  The two
+checks that draw nothing and read the ladder powers or a norm, ladder_facts
+and norm_bound, are pinned to their earlier bodies by record, note included.
+The toeplitz_dual_path records are the same bytes under another BLAS kernel.  A
 check that draws nothing runs once per distinct input, and the records do not
 depend on what the cache holds.
 """
@@ -32,8 +34,9 @@ from pgquant.algebra import PGElement
 from pgquant.forms import (WeightSeq, adjoint_wrt_form, form, gram_matrix, orthonormal_phi,
                            preset_weights)
 from pgquant.quantization import (coherent_quantization, ladder_set, matrix_rank,
-                                  mult_operator, pk_operator, project_pk, span_rank, toeplitz,
-                                  toeplitz_adjoint, toeplitz_flat, toeplitz_orthonormal)
+                                  mult_operator, operator_norm_bh, pk_operator, project_pk,
+                                  span_rank, toeplitz, toeplitz_adjoint, toeplitz_flat,
+                                  toeplitz_orthonormal)
 from pgquant.verify import EXPECTED_FAIL, CheckFailure
 
 
@@ -445,6 +448,25 @@ def loop_multiplicativity(ctx, w, rng, tol):
     return residuals
 
 
+def loop_number_operator(ctx, w, rng, tol):
+    l = ctx.l
+    lad = ladder_set(w, ctx)
+    N = lad.number.matrix
+    diag = np.real(np.diag(N))
+    residuals = [max_abs(N - np.diag(np.diag(N))),
+                 max_abs(np.sort(diag) - np.sort(lad.deformed_ints))]
+    if np.any(diag < -tol):
+        raise CheckFailure()
+    D = w.arr()
+    for _ in range(20):
+        fvec = rng.standard_normal(l) + 1j * rng.standard_normal(l)
+        lhs = np.conj(fvec) @ (D * (N @ fvec))
+        af = lad.annihilation.matrix @ fvec
+        rhs = np.conj(af) @ (D * af)
+        residuals.append(abs(lhs - rhs) / max(1.0, abs(rhs)))
+    return residuals
+
+
 def loop_quantization_equivalences(ctx, w, rng, tol):
     l = ctx.l
     residuals = []
@@ -585,8 +607,40 @@ def loop_diagonal_symbols(ctx, w, rng, tol):
     return residuals
 
 
+# --- two checks that draw nothing, against their earlier bodies ----------------
+# Each computes every ladder power it reads with its own matrix_power call.
+# norm_bound returns a Noted list, which compares equal whatever its note, so
+# these are pinned by their records too.
+
+def loop_ladder_facts(ctx, w, rng, tol):
+    l = ctx.l
+    lad = ladder_set(w, ctx)
+    for name, op in (("creation", lad.creation.matrix), ("annihilation", lad.annihilation.matrix)):
+        if not max_abs(np.linalg.matrix_power(op, l)) <= tol:
+            raise CheckFailure(f"{name} power l not zero")
+        if not max_abs(np.linalg.matrix_power(op, l - 1)) > tol:
+            raise CheckFailure(f"{name} power l-1 vanished")
+        if matrix_rank(op) != l - 1:
+            raise CheckFailure(f"{name} kernel not one-dimensional")
+    return [max_abs(lad.creation.matrix[:, l - 1]),
+            max_abs(lad.annihilation.matrix[:, 0]),
+            max_abs(lad.number.matrix - lad.creation.matrix @ lad.annihilation.matrix)]
+
+
+def loop_norm_bound(ctx, w, rng, tol):
+    l = ctx.l
+    T_eta = toeplitz(PGElement.basis(l, 1, 0), w, ctx)
+    norm2 = operator_norm_bh(T_eta, w) ** 2
+    bound = max(w.w[a + 1] / w.w[a] for a in range(l - 1))
+    if not norm2 >= bound - tol * max(1.0, bound):
+        return [bound - norm2]
+    return verify_mod.Noted([0.0], f"observed norm^2 - bound = {norm2 - bound:.3e}")
+
+
 BASIS_FAMILY_LOOPS = ("gram_properties", "orthonormal_basis", "column_structure",
                       "anti_wick_factorization", "operator_basis_rank", "diagonal_symbols")
+# the checks pinned by their records rather than by their residual lists
+RECORD_LOOPS = BASIS_FAMILY_LOOPS + ("ladder_facts", "norm_bound")
 LOOPS = {name[len("loop_"):]: fn for name, fn in globals().items() if name.startswith("loop_")}
 
 
@@ -599,12 +653,12 @@ def outcome(fn, ctx, w, seed):
 
 
 def test_every_batched_check_has_its_loop():
-    assert set(LOOPS) <= set(verify_mod.CHECK_NAMES) and len(LOOPS) == 24
-    assert set(BASIS_FAMILY_LOOPS) <= set(LOOPS)
+    assert set(LOOPS) == set(verify_mod.CHECK_NAMES) and len(LOOPS) == 27
+    assert set(RECORD_LOOPS) <= set(LOOPS)
 
 
 @pytest.mark.parametrize("l", [2, 4, 6])
-@pytest.mark.parametrize("name", sorted(set(LOOPS) - set(BASIS_FAMILY_LOOPS)))
+@pytest.mark.parametrize("name", sorted(set(LOOPS) - set(RECORD_LOOPS)))
 def test_batched_check_returns_the_residuals_of_its_loop(name, l):
     """Exactly, at every grid q and for two weight families."""
     check = dict(verify_mod.CHECKS)[name]
@@ -618,7 +672,7 @@ def test_batched_check_returns_the_residuals_of_its_loop(name, l):
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
-@pytest.mark.parametrize("name", BASIS_FAMILY_LOOPS)
+@pytest.mark.parametrize("name", RECORD_LOOPS)
 def test_basis_family_check_keeps_the_record_of_its_loop(monkeypatch, name, l):
     """The largest residual bit for bit, the status and the note, or the
     failure raised, at every grid q and for three weight families."""
