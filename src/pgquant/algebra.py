@@ -212,16 +212,22 @@ def normal_order(word, ctx: AlgebraCtx) -> PGElement:
     return PGElement.basis(ctx.l, a, b, ctx.qinv_powers[inversions])
 
 
-# multiply_stack and form_stack evaluate a stack in blocks of at most this many
-# terms, so that each temporary array stays near 128 KB whatever the stack's size
+# a stacked kernel evaluates its stack in blocks of at most this many terms, so
+# that each temporary array stays near 128 KB whatever the stack's size
 BLOCK_TERMS = 1 << 13
 
 
-def blocks(n: int, terms_per_table: int) -> list:
-    """Slices that cut a stack of n tables into blocks of at most BLOCK_TERMS
-    terms, or of one table where a single table has more."""
+def in_blocks(fn, terms_per_table: int, *stacks) -> np.ndarray:
+    """fn(*stacks), evaluated on consecutive row blocks of at most BLOCK_TERMS
+    terms (one table each where a single table has more) and concatenated; a
+    stack of one table pairs with every block.  A stack that fits in one
+    block is passed to fn whole."""
+    n = max(map(len, stacks))
     step = max(1, BLOCK_TERMS // terms_per_table)
-    return [slice(k, k + step) for k in range(0, n, step)]
+    if n <= step:
+        return fn(*stacks)
+    return np.concatenate([fn(*(s if len(s) == 1 else s[k:k + step] for s in stacks))
+                           for k in range(0, n, step)])
 
 
 def multiply_stack(F: np.ndarray, G: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
@@ -230,17 +236,8 @@ def multiply_stack(F: np.ndarray, G: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
     l = ctx.l
     left, right, bc, cells = product_support(l)
     phases = ctx.qinv_powers[bc][None]
-    n = max(len(F), len(G))
-    if n <= max(1, BLOCK_TERMS // len(cells)):
-        # one block: the whole stack in one pass
-        return scatter_sum(cells, gather(F, left) * phases * gather(G, right),
-                           l * l).reshape(n, l, l)
-    out = np.empty((n, l * l), dtype=complex)
-    for rows in blocks(n, len(cells)):
-        f = F if len(F) == 1 else F[rows]
-        g = G if len(G) == 1 else G[rows]
-        out[rows] = scatter_sum(cells, gather(f, left) * phases * gather(g, right), l * l)
-    return out.reshape(n, l, l)
+    return in_blocks(lambda f, g: scatter_sum(cells, gather(f, left) * phases * gather(g, right),
+                                              l * l), len(cells), F, G).reshape(-1, l, l)
 
 
 def _times(f: np.ndarray, g: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PGElement, blocks, frozen, gather, index_tuples
+from .algebra import PGElement, frozen, gather, in_blocks, index_tuples
 
 WEIGHT_PRESETS = ("ones", "factorial", "qfactorial")
 
@@ -229,14 +229,13 @@ def form_stack(F: np.ndarray, G: np.ndarray, w: WeightSeq, mode: str = "closed")
         terms, support = _definitional_terms, _berezin_support(w.l)
     else:
         raise ValueError(f"unknown form mode {mode!r}")
-    re_sums, im_sums = [], []
-    for rows in blocks(len(F), len(support[0])):
-        re, im = terms(F[rows], G[rows], w)
-        re_sums += _fsum_rows(re)
-        im_sums += _fsum_rows(im)
-    out = np.empty(len(F), dtype=complex)
-    out.real, out.imag = re_sums, im_sums
-    return out
+
+    def sums(F, G):
+        re, im = terms(F, G, w)
+        out = np.empty(len(F), dtype=complex)
+        out.real, out.imag = _fsum_rows(re), _fsum_rows(im)
+        return out
+    return in_blocks(sums, len(support[0]), F, G)
 
 
 def form(f: PGElement, g: PGElement, w: WeightSeq, mode: str = "closed") -> complex:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (AlgebraCtx, PGElement, frozen, gather, index_tuples, monomials,
-                      product_support, scatter_sum, z_map)
+from .algebra import (AlgebraCtx, PGElement, frozen, gather, in_blocks, index_tuples,
+                      monomials, product_support, scatter_sum, z_map)
 from .forms import WeightSeq, form_stack
 
 MONOMIAL = "monomial"
@@ -82,7 +82,8 @@ def _project_column(C: np.ndarray, w: WeightSeq) -> np.ndarray:
     l = w.l
     pos, num, den = _projection_support(l)
     ws = w.arr()
-    return scatter_sum(den, gather(C, pos) * (ws[num] / ws[den])[None], l)
+    ratios = (ws[num] / ws[den])[None]
+    return in_blocks(lambda C: scatter_sum(den, gather(C, pos) * ratios, l), len(pos), C)
 
 
 def project_pk_stack(F: np.ndarray, w: WeightSeq, mode: str = "closed") -> np.ndarray:
@@ -93,8 +94,9 @@ def project_pk_stack(F: np.ndarray, w: WeightSeq, mode: str = "closed") -> np.nd
         out[:, :, 0] = _project_column(F, w)
     elif mode == "kernel":
         # <th^k, F[m]>_w for every (m, k), taken row by row; th^k sits at k*l
-        powers = np.tile(monomials(l, range(0, l * l, l)), (len(F), 1, 1))
-        pairs = form_stack(powers, np.repeat(F, l, axis=0), w)
+        powers = monomials(l, range(0, l * l, l))
+        pairs = in_blocks(lambda F: form_stack(np.tile(powers, (len(F), 1, 1)),
+                                               np.repeat(F, l, axis=0), w), l ** 3, F)
         ws = w.arr()
         # real and imaginary parts divided apart, which gives the quotient
         # Python's complex division by w_k gives; numpy's complex division
@@ -127,14 +129,16 @@ def project_pk_bar(F: PGElement, w: WeightSeq) -> PGElement:
 def _project_shifts(G: np.ndarray, w: WeightSeq, scale=None) -> np.ndarray:
     """(n, l, l) array: row a of entry m is the closed projection of
     th^a * G[m], G[m]'s table moved down a rows, times scale[a] if given.
-    The l shifts of each table are written into one buffer and projected in
-    one call."""
+    The l shifts of each table of a block are written into one buffer and
+    projected in one call."""
     l = w.l
-    n = len(G)
-    shifts = np.zeros((n, l, l, l), dtype=complex)
-    for a in range(l):
-        shifts[:, a, a:] = G[:, :l - a] if scale is None else G[:, :l - a] * scale[a]
-    return _project_column(shifts.reshape(n * l, l, l), w).reshape(n, l, l)
+
+    def project(G):
+        shifts = np.zeros((len(G), l, l, l), dtype=complex)
+        for a in range(l):
+            shifts[:, a, a:] = G[:, :l - a] if scale is None else G[:, :l - a] * scale[a]
+        return _project_column(shifts.reshape(-1, l, l), w).reshape(-1, l, l)
+    return in_blocks(project, l ** 3, G)
 
 
 @functools.lru_cache(maxsize=1)  # one shared entry, as for forms.gram_matrix
@@ -198,8 +202,9 @@ def toeplitz_stack(G: np.ndarray, w: WeightSeq, mode: str = "closed") -> np.ndar
     if mode == "closed":
         symbol, num, den, cells = _toeplitz_support(l)
         ws = w.arr()
-        terms = gather(G, symbol) * (ws[num] / ws[den])[None]
-        return scatter_sum(cells, terms, l * l).reshape(n, l, l)
+        ratios = (ws[num] / ws[den])[None]
+        return in_blocks(lambda G: scatter_sum(cells, gather(G, symbol) * ratios, l * l),
+                         len(cells), G).reshape(n, l, l)
     if mode == "projection":
         # column a is the projection of th^a * g, as in the flat map
         return np.swapaxes(_project_shifts(G, w), 1, 2)
@@ -250,9 +255,9 @@ def coherent_quantization_stack(G: np.ndarray, w: WeightSeq, mode: str = "closed
         # map's (j, i, a), and each cell still sums its terms in increasing i
         symbol, num, den, cells = _toeplitz_support(l)
         ws = w.arr()
-        terms = (gather(np.swapaxes(G, 1, 2), symbol) * ws[num][None]) / np.sqrt(
-            ws[den] * ws[cells % l])[None]
-        return scatter_sum(cells, terms, l * l).reshape(n, l, l)
+        top, norm = ws[num][None], np.sqrt(ws[den] * ws[cells % l])[None]
+        return in_blocks(lambda G: scatter_sum(cells, (gather(G, symbol) * top) / norm, l * l),
+                         len(cells), np.swapaxes(G, 1, 2)).reshape(n, l, l)
     if mode == "berezin":
         A = np.zeros((n, l, l), dtype=complex)
         sw = np.sqrt(w.arr())

@@ -84,7 +84,9 @@ def random_elements(rng: np.random.Generator, shape: tuple, l: int) -> np.ndarra
     call: table k in C order is the table of the k-th of successive
     random_element calls, real parts drawn before imaginary ones."""
     z = rng.standard_normal((*shape, 2, l, l))
-    return z[..., 0, :, :] + 1j * z[..., 1, :, :]
+    out = np.empty((*shape, l, l), dtype=complex)
+    out.real, out.imag = z[..., 0, :, :], z[..., 1, :, :]
+    return out
 
 
 def random_element(rng: np.random.Generator, l: int) -> PGElement:
@@ -354,9 +356,11 @@ def compression_samples(rng: np.random.Generator, n: int, l: int):
 def check_compression_identity(ctx, w, rng):
     l = ctx.l
     g, f1, f2 = compression_samples(rng, 20, l)
-    # one matrix-vector product per sample, as for a single sample
+    # one matrix-vector product per sample, as for a single sample; the l^4
+    # entries of each multiplication operator are built a block at a time
     Tf2 = np.matmul(toeplitz_stack(g, w), f2[..., None])[..., 0]
-    Mg_f2 = np.matmul(mult_operator_stack(g, "right", ctx), _vec_bh(f2, l)[..., None])[..., 0]
+    Mg_f2 = alg.in_blocks(lambda g, f: np.matmul(mult_operator_stack(g, "right", ctx),
+                                                 f[..., None])[..., 0], l ** 4, g, _vec_bh(f2, l))
     e1 = _vec_bh(f1, l).reshape(-1, l, l)
     lhs = form_stack(e1, _vec_bh(Tf2, l).reshape(-1, l, l), w)
     rhs = form_stack(e1, Mg_f2.reshape(-1, l, l), w)

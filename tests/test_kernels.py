@@ -25,6 +25,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -792,7 +793,9 @@ def each(fn, stack):
 @pytest.mark.parametrize("l", range(2, 10))
 def test_stacked_kernels_equal_single_calls(l, q, n):
     """Bit for bit, also across the blocks a stack is cut into (five tables of
-    l = 9 span two), with about a third of the coefficients exactly zero."""
+    l = 9 span two products, and at l = 6 each blocked kernel meets a stack
+    that fills one block and one a table longer), with about a third of the
+    coefficients exactly zero."""
     ctx = AlgebraCtx(l, q)
     rng = np.random.default_rng([l, n, 26])
     w = rand_weights(rng, l)
@@ -803,8 +806,9 @@ def test_stacked_kernels_equal_single_calls(l, q, n):
     assert np.array_equal(multiply_stack(F[:1], G, ctx),
                           [multiply(pairs[0][0], g, ctx).coeffs for _, g in pairs])
     if l == 6 and n == 5:
-        # a stack of exactly one block of products, and one of a table more
-        # that takes a second block
+        # for each kernel that algebra.in_blocks cuts, a stack of exactly one
+        # block and one of a table more that takes a second block; a block is
+        # BLOCK_TERMS over the terms per table that the kernel passes
         assert BLOCK_TERMS // len(product_support(l)[0]) == 18
         for big in (18, 19):
             F6, G6 = sparse_stack(rng, l, big), sparse_stack(rng, l, big)
@@ -812,6 +816,31 @@ def test_stacked_kernels_equal_single_calls(l, q, n):
                 multiply(PGElement(l, f), PGElement(l, g), ctx).coeffs for f, g in zip(F6, G6)])
             assert np.array_equal(multiply_stack(F6[:1], G6, ctx), [
                 multiply(PGElement(l, F6[0]), PGElement(l, g), ctx).coeffs for g in G6])
+        assert BLOCK_TERMS // len(_gram_support(l)[0]) == 90
+        assert BLOCK_TERMS // len(_berezin_support(l)[0]) == 90
+        for big in (90, 91):
+            F6, G6 = sparse_stack(rng, l, big), sparse_stack(rng, l, big)
+            for mode in ("closed", "definitional"):
+                assert np.array_equal(form_stack(F6, G6, w, mode), [
+                    form(PGElement(l, f), PGElement(l, g), w, mode) for f, g in zip(F6, G6)])
+        cut = (  # (terms per table, tables per block, stacked kernel, single call)
+            (len(_toeplitz_support(l)[0]), 90, lambda G: toeplitz_stack(G, w),
+             lambda g: toeplitz(g, w, ctx).matrix),
+            (len(_toeplitz_support(l)[0]), 90, lambda G: coherent_quantization_stack(G, w),
+             lambda g: coherent_quantization(g, w, ctx)),
+            (l ** 3, 37, lambda G: toeplitz_stack(G, w, "projection"),
+             lambda g: toeplitz(g, w, ctx, "projection").matrix),
+            (l ** 3, 37, lambda G: toeplitz_flat_stack(G, w), lambda g: toeplitz_flat(g, w, ctx)),
+            (l ** 3, 37, lambda F: project_pk_stack(F, w, "kernel"),
+             lambda f: project_pk(f, w, "kernel").coeffs),
+            (len(_projection_support(l)[0]), 390, lambda F: project_pk_stack(F, w),
+             lambda f: project_pk(f, w).coeffs),
+        )
+        for terms, block, kernel, single in cut:
+            assert BLOCK_TERMS // terms == block
+            for big in (block, block + 1):
+                G6 = sparse_stack(rng, l, big)
+                assert kernel(G6).tobytes() == each(single, G6).tobytes()
     for mode in ("closed", "definitional"):
         assert np.array_equal(form_stack(F, G, w, mode), [form(f, g, w, mode) for f, g in pairs])
     for mode in ("closed", "projection"):
@@ -837,6 +866,42 @@ def test_stacked_kernels_equal_single_calls(l, q, n):
         source = MONOMIAL if target == ORTHONORMAL else ORTHONORMAL
         assert np.array_equal(convert_basis_stack(T, w, target), [
             convert_basis(OperatorBH(l, M, source), w, target).matrix for M in T])
+
+
+# each stacked kernel of (n, l, l) tables, as a function of the stack and the weights
+STACKED_KERNELS = {
+    "multiply": lambda F, w: multiply_stack(F, F[::-1], AlgebraCtx(w.l, 0.5)),
+    "form closed": lambda F, w: form_stack(F, F[::-1], w),
+    "form definitional": lambda F, w: form_stack(F, F[::-1], w, "definitional"),
+    "toeplitz closed": lambda F, w: toeplitz_stack(F, w),
+    "toeplitz projection": lambda F, w: toeplitz_stack(F, w, "projection"),
+    "coherent closed": lambda F, w: coherent_quantization_stack(F, w),
+    "coherent berezin": lambda F, w: coherent_quantization_stack(F, w, "berezin"),
+    "flat": lambda F, w: toeplitz_flat_stack(F, w),
+    "project_pk closed": lambda F, w: project_pk_stack(F, w),
+    "project_pk kernel": lambda F, w: project_pk_stack(F, w, "kernel"),
+}
+
+
+@pytest.mark.parametrize("kernel", STACKED_KERNELS)
+def test_stacked_kernels_hold_at_most_three_outputs(kernel):
+    """A kernel's traced peak on 300 tables at l = 16 is at most three times
+    its output's bytes plus 1 MB: the temporaries of a block, not of the
+    whole stack (the l^3 shift buffer of the projection Toeplitz alone would
+    be 20 MB)."""
+    l, fn = 16, STACKED_KERNELS[kernel]
+    rng = np.random.default_rng([l, 29])
+    w = rand_weights(rng, l)
+    F = random_elements(rng, (300,), l)
+    fn(F[:2], w)  # the index tables are cached on a first call
+    tracemalloc.start()
+    try:
+        out = fn(F, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == 300
+    assert peak <= 3 * out.nbytes + 2 ** 20, (peak, out.nbytes)
 
 
 @pytest.mark.parametrize("n", (1, 5))
