@@ -97,12 +97,10 @@ class PGElement:
         return cls(l, np.asarray(vec, dtype=complex).reshape(l, l))
 
     def __add__(self, other: "PGElement") -> "PGElement":
-        _check_same_order(self, other)
-        return PGElement(self.l, self.coeffs + other.coeffs)
+        return PGElement(same_order(self, other), self.coeffs + other.coeffs)
 
     def __sub__(self, other: "PGElement") -> "PGElement":
-        _check_same_order(self, other)
-        return PGElement(self.l, self.coeffs - other.coeffs)
+        return PGElement(same_order(self, other), self.coeffs - other.coeffs)
 
     def __neg__(self) -> "PGElement":
         return PGElement(self.l, -self.coeffs)
@@ -116,9 +114,13 @@ class PGElement:
         return f"PGElement(l={self.l})"
 
 
-def _check_same_order(f: PGElement, g: PGElement):
-    if f.l != g.l:
-        raise ValueError(f"order mismatch: {f.l} vs {g.l}")
+def same_order(*objects) -> int:
+    """The order l shared by the given elements, weights, contexts and
+    operators; a ValueError naming the orders if two of them differ."""
+    orders = {obj.l for obj in objects}
+    if len(orders) > 1:
+        raise ValueError(f"order mismatch: {sorted(orders)}")
+    return orders.pop()
 
 
 def index_tuples(l: int, rank: int, keep) -> tuple:
@@ -219,15 +221,21 @@ BLOCK_TERMS = 1 << 13
 
 def in_blocks(fn, terms_per_table: int, *stacks) -> np.ndarray:
     """fn(*stacks), evaluated on consecutive row blocks of at most BLOCK_TERMS
-    terms (one table each where a single table has more) and concatenated; a
-    stack of one table pairs with every block.  A stack that fits in one
-    block is passed to fn whole."""
+    terms (one table each where a single table has more) and written into one
+    output; a stack of one table pairs with every block.  fn returns one row
+    per table of its block.  A stack that fits in one block is passed to fn
+    whole."""
     n = max(map(len, stacks))
     step = max(1, BLOCK_TERMS // terms_per_table)
     if n <= step:
         return fn(*stacks)
-    return np.concatenate([fn(*(s if len(s) == 1 else s[k:k + step] for s in stacks))
-                           for k in range(0, n, step)])
+    out = None
+    for k in range(0, n, step):
+        block = fn(*(s if len(s) == 1 else s[k:k + step] for s in stacks))
+        if out is None:
+            out = np.empty((n, *block.shape[1:]), dtype=block.dtype)
+        out[k:k + step] = block
+    return out
 
 
 def multiply_stack(F: np.ndarray, G: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
@@ -247,11 +255,7 @@ def _times(f: np.ndarray, g: np.ndarray, ctx: AlgebraCtx) -> np.ndarray:
 
 def multiply(f: PGElement, g: PGElement, ctx: AlgebraCtx) -> PGElement:
     """Algebra product: (th^a thb^b)(th^c thb^d) = q^{-bc} th^{a+c} thb^{b+d}."""
-    _check_same_order(f, g)
-    l = f.l
-    if ctx.l != l:
-        raise ValueError(f"order mismatch: elements {l} vs context {ctx.l}")
-    return PGElement(l, _times(f.coeffs, g.coeffs, ctx))
+    return PGElement(same_order(f, g, ctx), _times(f.coeffs, g.coeffs, ctx))
 
 
 def conjugate_stack(F: np.ndarray) -> np.ndarray:

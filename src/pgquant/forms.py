@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PGElement, frozen, gather, in_blocks, index_tuples
+from .algebra import PGElement, frozen, gather, in_blocks, index_tuples, same_order
 
 WEIGHT_PRESETS = ("ones", "factorial", "qfactorial")
 
@@ -245,8 +245,7 @@ def form(f: PGElement, g: PGElement, w: WeightSeq, mode: str = "closed") -> comp
     mode="definitional" runs the weighted Berezin sum over the exponent-adding
     product of f's conjugate with g; the two routes must agree.
     """
-    if f.l != w.l or g.l != w.l:
-        raise ValueError("order mismatch between elements and weights")
+    same_order(f, g, w)
     return complex(form_stack(f.coeffs[None], g.coeffs[None], w, mode)[0])
 
 

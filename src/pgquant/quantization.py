@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (AlgebraCtx, PGElement, frozen, gather, in_blocks, index_tuples,
-                      monomials, product_support, scatter_sum, z_map)
+                      monomials, product_support, same_order, scatter_sum, z_map)
 from .forms import WeightSeq, form_stack
 
 MONOMIAL = "monomial"
@@ -51,11 +51,10 @@ def convert_basis(A: OperatorBH, w: WeightSeq, target: str) -> OperatorBH:
     orthonormal element is w_a^{-1/2} th^a, so coordinates pick up S one way
     and S^{-1} the other.
     """
-    if A.l != w.l:
-        raise ValueError("order mismatch")
+    l = same_order(A, w)
     if target == A.basis:
         return A
-    return OperatorBH(A.l, convert_basis_stack(A.matrix[None], w, target)[0], target)
+    return OperatorBH(l, convert_basis_stack(A.matrix[None], w, target)[0], target)
 
 
 def convert_basis_stack(M: np.ndarray, w: WeightSeq, target: str) -> np.ndarray:
@@ -96,13 +95,14 @@ def project_pk_stack(F: np.ndarray, w: WeightSeq, mode: str = "closed") -> np.nd
         # <th^k, F[m]>_w for every (m, k), taken row by row; th^k sits at k*l
         powers = monomials(l, range(0, l * l, l))
         pairs = in_blocks(lambda F: form_stack(np.tile(powers, (len(F), 1, 1)),
-                                               np.repeat(F, l, axis=0), w), l ** 3, F)
+                                               np.repeat(F, l, axis=0), w).reshape(-1, l),
+                          l ** 3, F)
         ws = w.arr()
         # real and imaginary parts divided apart, which gives the quotient
         # Python's complex division by w_k gives; numpy's complex division
         # can differ from it in the last bit
-        out[:, :, 0].real = pairs.real.reshape(-1, l) / ws
-        out[:, :, 0].imag = pairs.imag.reshape(-1, l) / ws
+        out[:, :, 0].real = pairs.real / ws
+        out[:, :, 0].imag = pairs.imag / ws
     else:
         raise ValueError(f"unknown projection mode {mode!r}")
     return out
@@ -115,9 +115,7 @@ def project_pk(F: PGElement, w: WeightSeq, mode: str = "closed") -> PGElement:
     a-b escapes the index range); mode="kernel" expands against the
     reproducing kernel, summing (1/w_k) <th^k, F>_w th^k.
     """
-    if F.l != w.l:
-        raise ValueError("order mismatch")
-    return PGElement(w.l, project_pk_stack(F.coeffs[None], w, mode)[0])
+    return PGElement(same_order(F, w), project_pk_stack(F.coeffs[None], w, mode)[0])
 
 
 def project_pk_bar(F: PGElement, w: WeightSeq) -> PGElement:
@@ -180,8 +178,7 @@ def mult_operator_stack(G: np.ndarray, side: str, ctx: AlgebraCtx) -> np.ndarray
 
 def mult_operator(g: PGElement, side: str, ctx: AlgebraCtx) -> np.ndarray:
     """Matrix of F -> F*g (side="right") or F -> g*F (side="left")."""
-    if g.l != ctx.l:
-        raise ValueError("order mismatch")
+    same_order(g, ctx)
     return mult_operator_stack(g.coeffs[None], side, ctx)[0]
 
 
@@ -219,9 +216,7 @@ def toeplitz(g: PGElement, w: WeightSeq, ctx: AlgebraCtx, mode: str = "closed") 
     are in range.  mode="projection" takes column a to be the kernel
     projection of th^a * g, the image of th^a under right multiplication.
     ctx is read only for its order."""
-    if not (g.l == w.l == ctx.l):
-        raise ValueError("order mismatch")
-    return OperatorBH(ctx.l, toeplitz_stack(g.coeffs[None], w, mode)[0], MONOMIAL)
+    return OperatorBH(same_order(g, w, ctx), toeplitz_stack(g.coeffs[None], w, mode)[0], MONOMIAL)
 
 
 def toeplitz_orthonormal(g: PGElement, w: WeightSeq, ctx: AlgebraCtx) -> OperatorBH:
@@ -237,11 +232,10 @@ def toeplitz_adjoint_stack(M: np.ndarray, w: WeightSeq) -> np.ndarray:
 
 def toeplitz_adjoint(A: OperatorBH, w: WeightSeq) -> OperatorBH:
     """Adjoint for the weighted inner product on the holomorphic subspace."""
-    if A.l != w.l:
-        raise ValueError("order mismatch")
+    l = same_order(A, w)
     if A.basis != MONOMIAL:
         raise ValueError("adjoint expects a monomial-basis operator")
-    return OperatorBH(A.l, toeplitz_adjoint_stack(A.matrix[None], w)[0], MONOMIAL)
+    return OperatorBH(l, toeplitz_adjoint_stack(A.matrix[None], w)[0], MONOMIAL)
 
 
 # --- coherent-state and flat quantizations ---------------------------------
@@ -259,16 +253,19 @@ def coherent_quantization_stack(G: np.ndarray, w: WeightSeq, mode: str = "closed
         return in_blocks(lambda G: scatter_sum(cells, (gather(G, symbol) * top) / norm, l * l),
                          len(cells), np.swapaxes(G, 1, 2)).reshape(n, l, l)
     if mode == "berezin":
-        A = np.zeros((n, l, l), dtype=complex)
         sw = np.sqrt(w.arr())
         norm = np.outer(sw, sw)
-        for m in range(l):
-            # th^m g thb^m is g moved down and right m places, no q-phase, and
-            # the integral of th^r (th^m g thb^m) thb^s reads g at (k-r, k-s),
-            # zero unless r, s <= k; adding those zeros would move no bit of A
-            k = l - 1 - m
-            A[:, :k + 1, :k + 1] += w.w[k] * G[:, k::-1, k::-1] / norm[:k + 1, :k + 1]
-        return A
+
+        # th^m g thb^m is g moved down and right m places, no q-phase, and
+        # the integral of th^r (th^m g thb^m) thb^s reads g at (k-r, k-s),
+        # zero unless r, s <= k; adding those zeros would move no bit of A
+        def corners(G):
+            A = np.zeros((len(G), l, l), dtype=complex)
+            for m in range(l):
+                k = l - 1 - m
+                A[:, :k + 1, :k + 1] += w.w[k] * G[:, k::-1, k::-1] / norm[:k + 1, :k + 1]
+            return A
+        return in_blocks(corners, l * l, G)
     raise ValueError(f"unknown coherent mode {mode!r}")
 
 
@@ -283,8 +280,7 @@ def coherent_quantization(g: PGElement, w: WeightSeq, ctx: AlgebraCtx,
     term; each product th^m g thb^m in it is g's table moved down and right m
     places, read in place as a reversed slice of g.
     """
-    if not (g.l == w.l == ctx.l):
-        raise ValueError("order mismatch")
+    same_order(g, w, ctx)
     return coherent_quantization_stack(g.coeffs[None], w, mode)[0]
 
 
@@ -297,15 +293,15 @@ def toeplitz_flat_stack(G: np.ndarray, w: WeightSeq) -> np.ndarray:
     img = _project_shifts(np.swapaxes(G, 1, 2), w, 1.0 / sw)
     # thb^b coefficient scaled back to the conjugated orthonormal basis; the
     # image of basis element a is column a
-    return np.swapaxes(img * sw, 1, 2)
+    img *= sw
+    return np.swapaxes(img, 1, 2)
 
 
 def toeplitz_flat(g: PGElement, w: WeightSeq, ctx: AlgebraCtx) -> np.ndarray:
     """Left multiplication by g followed by the anti-holomorphic projection, on
     the conjugated orthonormal basis w_a^{-1/2} thb^a; the product g * thb^a
     is g's table moved right a columns.  ctx is read only for its order."""
-    if not (g.l == w.l == ctx.l):
-        raise ValueError("order mismatch")
+    same_order(g, w, ctx)
     return toeplitz_flat_stack(g.coeffs[None], w)[0]
 
 
@@ -330,9 +326,7 @@ def ladder_set(w: WeightSeq, ctx: AlgebraCtx) -> LadderSet:
     the diagonal number operator with eigenvalues w_a / w_{a-1}: the first two
     are the Toeplitz operators of th and thb.  ctx is read only to check its
     order."""
-    if ctx.l != w.l:
-        raise ValueError("order mismatch")
-    l = w.l
+    l = same_order(w, ctx)
     creation, annihilation = toeplitz_stack(monomials(l, [l, 1]), w)
     ints = (0.0, *(w.w[a] / w.w[a - 1] for a in range(1, l)))
     facts = tuple(itertools.accumulate(ints[1:], operator.mul, initial=1.0))

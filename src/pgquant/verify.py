@@ -79,14 +79,20 @@ _THB_POWERS = (Ellipsis, slice(None), slice(1, None))
 _TH_POWERS = (Ellipsis, slice(1, None), slice(None))
 
 
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + 1j * im from two halves of a draw, assigned without the complex
+    temporary of 1j * im (whose exact zeros the sum would add)."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def random_elements(rng: np.random.Generator, shape: tuple, l: int) -> np.ndarray:
     """A (*shape, l, l) stack of random coefficient tables from one generator
     call: table k in C order is the table of the k-th of successive
     random_element calls, real parts drawn before imaginary ones."""
     z = rng.standard_normal((*shape, 2, l, l))
-    out = np.empty((*shape, l, l), dtype=complex)
-    out.real, out.imag = z[..., 0, :, :], z[..., 1, :, :]
-    return out
+    return _complex(z[..., 0, :, :], z[..., 1, :, :])
 
 
 def random_element(rng: np.random.Generator, l: int) -> PGElement:
@@ -294,7 +300,7 @@ def check_gram_properties(w):
 
 def check_adjoint_wrt_form(w, rng):
     l = w.l
-    A = rng.standard_normal((l * l, l * l)) + 1j * rng.standard_normal((l * l, l * l))
+    A = _complex(*rng.standard_normal((2, l * l, l * l)))
     Astar = adjoint_wrt_form(A, w)
     f, g = np.moveaxis(random_elements(rng, (100, 2), l), 1, 0)
     # one matrix-vector product per sample, as for a single coefficient vector
@@ -349,8 +355,8 @@ def compression_samples(rng: np.random.Generator, n: int, l: int):
     z = rng.standard_normal((n, 2 * l * l + 4 * l))
     g = z[:, :2 * l * l].reshape(n, 2, l, l)
     f = z[:, 2 * l * l:].reshape(n, 2, 2, l)
-    f1, f2 = np.moveaxis(f[:, :, 0] + 1j * f[:, :, 1], 1, 0)
-    return g[:, 0] + 1j * g[:, 1], f1, f2
+    f1, f2 = np.moveaxis(_complex(f[:, :, 0], f[:, :, 1]), 1, 0)
+    return _complex(g[:, 0], g[:, 1]), f1, f2
 
 
 def check_compression_identity(ctx, w, rng):
@@ -481,7 +487,7 @@ def check_number_operator(w, rng, tol):
     if np.any(diag < -tol):
         raise CheckFailure()
     z = rng.standard_normal((20, 2, l, 1))  # 20 vectors: l real parts, then l imaginary
-    f = z[:, 0] + 1j * z[:, 1]
+    f = _complex(z[:, 0], z[:, 1])
     D = w.arr()[:, None]
     lhs = np.swapaxes(np.conj(f), 1, 2) @ (D * (N @ f))
     af = lad.annihilation.matrix @ f
@@ -527,7 +533,7 @@ def check_norm_bound(w, tol):
 def check_reproducing_truncation(ctx, w, rng):
     l = ctx.l
     N = l + 3
-    coeffs = rng.standard_normal(N + 1) + 1j * rng.standard_normal(N + 1)
+    coeffs = _complex(*rng.standard_normal((2, N + 1)))
     terms = tuple(alg.Prod((alg.Const(coeffs[j]), alg.Pow(alg.Gen(alg.THETA), j)))
                   for j in range(N + 1))
     image = alg.from_free_expr(alg.Sum(terms), ctx)

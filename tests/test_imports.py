@@ -3,7 +3,8 @@ module, and every module-level private name is read somewhere in its own
 directory: the package's names in the package, the tests' names in the tests.
 
 The package re-exports its public names from __init__.py, so that module is
-exempt from the import check.
+exempt from the import check.  The package checks the orders of its
+arguments in one place, algebra.same_order.
 """
 import ast
 import pathlib
@@ -74,3 +75,15 @@ def test_the_check_sees_an_orphaned_private_helper():
 def test_no_orphaned_private_helper(directory):
     sources = {p.name: p.read_text() for p in (ROOT / directory).glob("*.py")}
     assert orphaned_private_names(sources) == []
+
+
+def test_orders_are_compared_only_in_same_order():
+    """No module of the package but algebra.py raises its own order mismatch,
+    and algebra.py raises it only inside same_order."""
+    found = [(p.name, n) for p in sorted(PACKAGE.glob("*.py"))
+             for n, line in enumerate(p.read_text().splitlines(), 1) if "order mismatch" in line]
+    tree = ast.parse((PACKAGE / "algebra.py").read_text())
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "same_order")
+    assert found and all(name == "algebra.py" and helper.lineno <= n <= helper.end_lineno
+                         for name, n in found), found
