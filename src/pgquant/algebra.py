@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,8 @@ class AlgebraCtx:
 
     l: int
     q: complex = 1.0 + 0.0j
+    # q^{-k} for k = 0..(l-1)^2, read-only, built from l and q
+    qinv_powers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.l) != self.l or self.l < 2:
@@ -37,22 +39,19 @@ class AlgebraCtx:
         if q == 0:
             raise ValueError("deformation parameter q must be nonzero")
         object.__setattr__(self, "q", q)
-        if not np.all(np.isfinite(self.qinv_powers)):
-            raise ValueError(f"q^-k overflows for some k <= {(self.l - 1) ** 2}: "
-                             f"|q| = {abs(q)} is too small for order l = {self.l}")
-
-    @functools.cached_property
-    def qinv_powers(self) -> np.ndarray:
-        """q^{-k} for k = 0..(l-1)^2, built by repeated multiplication so that
-        negative and complex q stay on the expected branch."""
-        top = (self.l - 1) * (self.l - 1)
+        top = (self.l - 1) ** 2
         pows = np.ones(top + 1, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
-            # + 0.0 turns the -1-0j of odd powers at q = -1 into the -1+0j that
-            # multiply's sum onto +0 gives, so normal_order has its bytes
-            pows[1:] = np.cumprod(np.full(top, 1.0 / self.q)) + 0.0
+            # by repeated multiplication, so that negative and complex q stay
+            # on the expected branch; + 0.0 turns the -1-0j of odd powers at
+            # q = -1 into the -1+0j that multiply's sum onto +0 gives, so
+            # normal_order has its bytes
+            pows[1:] = np.cumprod(np.full(top, 1.0 / q)) + 0.0
+        if not np.all(np.isfinite(pows)):
+            raise ValueError(f"q^-k overflows for some k <= {top}: "
+                             f"|q| = {abs(q)} is too small for order l = {self.l}")
         pows.flags.writeable = False
-        return pows
+        object.__setattr__(self, "qinv_powers", pows)
 
 
 @dataclass(frozen=True, eq=False)

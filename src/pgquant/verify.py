@@ -79,20 +79,28 @@ _THB_POWERS = (Ellipsis, slice(None), slice(1, None))
 _TH_POWERS = (Ellipsis, slice(1, None), slice(None))
 
 
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """re + 1j * im from two halves of a draw, assigned without the complex
-    temporary of 1j * im (whose exact zeros the sum would add)."""
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
+def samples(rng: np.random.Generator, lead: tuple, *shapes: tuple) -> list:
+    """One complex (*lead, *shape) array per shape, from one standard_normal
+    call.  Sample k of lead in C order is what the k-th turn of a loop draws
+    that takes an array of each shape in turn, its real parts before its
+    imaginary ones.  Each array is assigned its two halves, without the
+    complex temporary of 1j * im (whose exact zeros the sum would add)."""
+    sizes = [2 * math.prod(shape) for shape in shapes]
+    z = rng.standard_normal((*lead, sum(sizes)))
+    out = []
+    for part, shape in zip(np.split(z, list(itertools.accumulate(sizes[:-1])), axis=-1),
+                           shapes):
+        re, im = np.moveaxis(part.reshape(*lead, 2, *shape), len(lead), 0)
+        sample = np.empty(re.shape, dtype=complex)
+        sample.real, sample.imag = re, im
+        out.append(sample)
     return out
 
 
-def random_elements(rng: np.random.Generator, shape: tuple, l: int) -> np.ndarray:
-    """A (*shape, l, l) stack of random coefficient tables from one generator
-    call: table k in C order is the table of the k-th of successive
-    random_element calls, real parts drawn before imaginary ones."""
-    z = rng.standard_normal((*shape, 2, l, l))
-    return _complex(z[..., 0, :, :], z[..., 1, :, :])
+def random_elements(rng: np.random.Generator, lead: tuple, l: int) -> np.ndarray:
+    """A (*lead, l, l) stack of random coefficient tables: table k in C order
+    is the table of the k-th of successive random_element calls."""
+    return samples(rng, lead, (l, l))[0]
 
 
 def random_element(rng: np.random.Generator, l: int) -> PGElement:
@@ -123,15 +131,6 @@ def _relative(residuals, scales) -> list:
 def _interleave(*lists) -> list:
     """[a0, b0, a1, b1, ...]: the order in which a per-sample loop appends."""
     return [x for group in zip(*lists) for x in group]
-
-
-@functools.cache
-def _order_ctx(l: int) -> AlgebraCtx:
-    """The context of order l and q = 1, for ladder_set, which reads its
-    context only to check the order, and for norm_bound's toeplitz, which
-    reads only its order: a check of the weights alone passes it, and so
-    reads no q."""
-    return AlgebraCtx(l)
 
 
 def _vec_bh(x: np.ndarray, l: int) -> np.ndarray:
@@ -240,9 +239,9 @@ def check_star_criterion(ctx, rng, tol):
 
 
 def check_holomorphic_conjugation(ctx, rng):
-    samples = random_elements(rng, (10, 2), ctx.l)
-    samples[_THB_POWERS] = 0
-    f, g = np.moveaxis(samples, 1, 0)
+    draws = random_elements(rng, (10, 2), ctx.l)
+    draws[_THB_POWERS] = 0
+    f, g = np.moveaxis(draws, 1, 0)
     res = conjugate_stack(multiply_stack(f, g, ctx)) - multiply_stack(
         conjugate_stack(f), conjugate_stack(g), ctx)
     return _max_abs_each(res)
@@ -300,7 +299,7 @@ def check_gram_properties(w):
 
 def check_adjoint_wrt_form(w, rng):
     l = w.l
-    A = _complex(*rng.standard_normal((2, l * l, l * l)))
+    [A] = samples(rng, (), (l * l, l * l))
     Astar = adjoint_wrt_form(A, w)
     f, g = np.moveaxis(random_elements(rng, (100, 2), l), 1, 0)
     # one matrix-vector product per sample, as for a single coefficient vector
@@ -331,9 +330,9 @@ def check_pk_projection(w, rng):
         raise CheckFailure()
     # ten samples of (F, h), h holomorphic: mode agreement on random input,
     # and the identity on the holomorphic subspace
-    samples = random_elements(rng, (10, 2), l)
-    samples[:, 1][_THB_POWERS] = 0
-    F, h = np.moveaxis(samples, 1, 0)
+    draws = random_elements(rng, (10, 2), l)
+    draws[:, 1][_THB_POWERS] = 0
+    F, h = np.moveaxis(draws, 1, 0)
     return residuals + _interleave(
         _max_abs_each(project_pk_stack(F, w, "closed") - project_pk_stack(F, w, "kernel")),
         _max_abs_each(project_pk_stack(h, w) - h))
@@ -347,21 +346,10 @@ def check_toeplitz_dual_path(w, rng):
                          - toeplitz_stack(symbols, w, "projection"))
 
 
-def compression_samples(rng: np.random.Generator, n: int, l: int):
-    """n samples of (g, f1, f2) from one generator call: g an (n, l, l) stack
-    of symbols, f1 and f2 (n, l) stacks of holomorphic coordinates.  Sample k
-    is what the k-th turn of a loop draws that takes random_element for g and
-    then f1 and f2, each as l real parts and then l imaginary ones."""
-    z = rng.standard_normal((n, 2 * l * l + 4 * l))
-    g = z[:, :2 * l * l].reshape(n, 2, l, l)
-    f = z[:, 2 * l * l:].reshape(n, 2, 2, l)
-    f1, f2 = np.moveaxis(_complex(f[:, :, 0], f[:, :, 1]), 1, 0)
-    return _complex(g[:, 0], g[:, 1]), f1, f2
-
-
 def check_compression_identity(ctx, w, rng):
     l = ctx.l
-    g, f1, f2 = compression_samples(rng, 20, l)
+    # 20 samples of a symbol g and the holomorphic coordinates f1, f2
+    g, f1, f2 = samples(rng, (20,), (l, l), (l,), (l,))
     # one matrix-vector product per sample, as for a single sample; the l^4
     # entries of each multiplication operator are built a block at a time
     Tf2 = np.matmul(toeplitz_stack(g, w), f2[..., None])[..., 0]
@@ -413,10 +401,10 @@ def check_multiplicativity(ctx, w, rng):
     l = ctx.l
     # 50 samples of (g1, g2, h1, h2), the g holomorphic and the h not; the
     # pairs (g1, g2) and (h1, h2) of each sample are a[k], b[k] in that order
-    samples = random_elements(rng, (50, 4), l)
-    samples[:, :2][_THB_POWERS] = 0
-    samples[:, 2:][_TH_POWERS] = 0
-    a, b = samples[:, 0::2].reshape(-1, l, l), samples[:, 1::2].reshape(-1, l, l)
+    draws = random_elements(rng, (50, 4), l)
+    draws[:, :2][_THB_POWERS] = 0
+    draws[:, 2:][_TH_POWERS] = 0
+    a, b = draws[:, 0::2].reshape(-1, l, l), draws[:, 1::2].reshape(-1, l, l)
     Ta, Tb = toeplitz_stack(a, w), toeplitz_stack(b, w)
     Tab = toeplitz_stack(multiply_stack(a, b, ctx), w)
     scales = _max_abs_each(Tab)
@@ -426,7 +414,7 @@ def check_multiplicativity(ctx, w, rng):
 
 def _anti_wick_words(w) -> np.ndarray:
     """Every annihilation^j creation^i, at the monomial position i*l+j."""
-    C, A = ladder_set(w, _order_ctx(w.l)).powers()
+    C, A = ladder_set(w, AlgebraCtx(w.l)).powers()
     return (A[None, :w.l] @ C[:w.l, None]).reshape(-1, w.l, w.l)
 
 
@@ -479,15 +467,14 @@ def check_q_commute_compression(ctx, w):
 
 def check_number_operator(w, rng, tol):
     l = w.l
-    lad = ladder_set(w, _order_ctx(l))
+    lad = ladder_set(w, AlgebraCtx(l))
     N = lad.number.matrix
     diag = np.real(np.diag(N))
     residuals = [_max_abs(N - np.diag(np.diag(N))),
                  _max_abs(np.sort(diag) - np.sort(lad.deformed_ints))]
     if np.any(diag < -tol):
         raise CheckFailure()
-    z = rng.standard_normal((20, 2, l, 1))  # 20 vectors: l real parts, then l imaginary
-    f = _complex(z[:, 0], z[:, 1])
+    [f] = samples(rng, (20,), (l, 1))  # 20 column vectors
     D = w.arr()[:, None]
     lhs = np.swapaxes(np.conj(f), 1, 2) @ (D * (N @ f))
     af = lad.annihilation.matrix @ f
@@ -507,7 +494,7 @@ def check_diagonal_symbols(w):
 
 def check_ladder_facts(w, tol):
     l = w.l
-    lad = ladder_set(w, _order_ctx(l))
+    lad = ladder_set(w, AlgebraCtx(l))
     for name, powers in zip(("creation", "annihilation"), lad.powers()):
         if not _max_abs(powers[l]) <= tol:
             raise CheckFailure(f"{name} power l not zero")
@@ -522,7 +509,7 @@ def check_ladder_facts(w, tol):
 
 def check_norm_bound(w, tol):
     l = w.l
-    T_eta = toeplitz(PGElement.basis(l, 1, 0), w, _order_ctx(l))
+    T_eta = toeplitz(PGElement.basis(l, 1, 0), w, AlgebraCtx(l))
     norm2 = operator_norm_bh(T_eta, w) ** 2
     bound = max(w.w[a + 1] / w.w[a] for a in range(l - 1))
     if not norm2 >= bound - tol * max(1.0, bound):
@@ -533,7 +520,7 @@ def check_norm_bound(w, tol):
 def check_reproducing_truncation(ctx, w, rng):
     l = ctx.l
     N = l + 3
-    coeffs = _complex(*rng.standard_normal((2, N + 1)))
+    [coeffs] = samples(rng, (), (N + 1,))
     terms = tuple(alg.Prod((alg.Const(coeffs[j]), alg.Pow(alg.Gen(alg.THETA), j)))
                   for j in range(N + 1))
     image = alg.from_free_expr(alg.Sum(terms), ctx)
@@ -542,35 +529,16 @@ def check_reproducing_truncation(ctx, w, rng):
     return [_max_abs(project_pk(image, w).coeffs - truncated)]
 
 
-CHECKS = (
-    ("normal_order_oracle", check_normal_order_oracle),
-    ("associativity", check_associativity),
-    ("defining_relation", check_defining_relation),
-    ("star_criterion", check_star_criterion),
-    ("holomorphic_conjugation", check_holomorphic_conjugation),
-    ("free_expr_linearity", check_free_expr_linearity),
-    ("form_mode_agreement", check_form_mode_agreement),
-    ("gram_properties", check_gram_properties),
-    ("adjoint_wrt_form", check_adjoint_wrt_form),
-    ("orthonormal_basis", check_orthonormal_basis),
-    ("pk_projection", check_pk_projection),
-    ("toeplitz_dual_path", check_toeplitz_dual_path),
-    ("compression_identity", check_compression_identity),
-    ("toeplitz_iso_rank", check_toeplitz_iso_rank),
-    ("column_structure", check_column_structure),
-    ("adjoint_symbol_rule", check_adjoint_symbol_rule),
-    ("multiplicativity", check_multiplicativity),
-    ("anti_wick_factorization", check_anti_wick_factorization),
-    ("operator_basis_rank", check_operator_basis_rank),
-    ("quantization_equivalences", check_quantization_equivalences),
-    ("mixed_products", check_mixed_products),
-    ("q_commute_compression", check_q_commute_compression),
-    ("number_operator", check_number_operator),
-    ("diagonal_symbols", check_diagonal_symbols),
-    ("ladder_facts", check_ladder_facts),
-    ("norm_bound", check_norm_bound),
-    ("reproducing_truncation", check_reproducing_truncation),
-)
+CHECKS = tuple((fn.__name__.removeprefix("check_"), fn) for fn in (
+    check_normal_order_oracle, check_associativity, check_defining_relation,
+    check_star_criterion, check_holomorphic_conjugation, check_free_expr_linearity,
+    check_form_mode_agreement, check_gram_properties, check_adjoint_wrt_form,
+    check_orthonormal_basis, check_pk_projection, check_toeplitz_dual_path,
+    check_compression_identity, check_toeplitz_iso_rank, check_column_structure,
+    check_adjoint_symbol_rule, check_multiplicativity, check_anti_wick_factorization,
+    check_operator_basis_rank, check_quantization_equivalences, check_mixed_products,
+    check_q_commute_compression, check_number_operator, check_diagonal_symbols,
+    check_ladder_facts, check_norm_bound, check_reproducing_truncation))
 
 CHECK_NAMES = tuple(name for name, _ in CHECKS)
 

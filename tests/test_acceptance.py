@@ -130,6 +130,7 @@ def test_criterion_9_parser(report):
     report(9, "parser corpus and format round-trip", ok)
 
 
+@pytest.mark.cpu_path
 def test_criterion_10_cli_golden(capsys, report):
     cases = [
         (["matrix", "--l", "2", "--q", "1", "--weights", "1,2",
@@ -153,6 +154,7 @@ def test_criterion_10_cli_golden(capsys, report):
     report(10, "CLI golden files byte-for-byte", ok)
 
 
+@pytest.mark.cpu_path
 @pytest.mark.parametrize("argv,golden", [
     (["gram", "--l", "3", "--q", "1", "--weights", "1,2,6"], "gram_l3.csv"),
     (["spectrum", "--l", "3", "--q", "2", "--weights", "factorial"], "spectrum_l3_q2.csv"),

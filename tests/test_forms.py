@@ -204,6 +204,7 @@ ROWS = [
 ]
 
 
+@pytest.mark.cpu_path
 class TestExactRowSums:
     """_fsum_rows gives math.fsum's bytes on every row, or float addition's
     where fsum overflows, whichever route the array's size picks."""

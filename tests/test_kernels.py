@@ -50,8 +50,7 @@ from pgquant.quantization import (_projection_support, _toeplitz_support,
                                   mult_operator_stack, operator_norm_bh, project_pk_stack,
                                   span_rank,
                                   toeplitz_adjoint_stack, toeplitz_flat_stack, toeplitz_stack)
-from pgquant.verify import (GRID_QS, _random_expr, compression_samples, random_element,
-                           random_elements)
+from pgquant.verify import GRID_QS, _random_expr, random_element, random_elements, samples
 
 GRID_Q_VALUES = [q for _, q in GRID_QS]
 
@@ -273,6 +272,7 @@ def loop_wick_rank_probe(w, ctx):
                      for i in range(l) for j in range(l))
 
 
+@pytest.mark.cpu_path
 @pytest.mark.parametrize("l", [*range(2, 8), 12, 24])
 def test_wick_rank_probe_equals_its_loop(l):
     """The same rank, or the same LinAlgError where the extreme weights put
@@ -742,6 +742,7 @@ def loop_from_free_expr(e, ctx):
     return -loop_from_free_expr(e.operand, ctx)
 
 
+@pytest.mark.cpu_path
 @pytest.mark.parametrize("q", GRID_Q_VALUES)
 @pytest.mark.parametrize("l", range(2, 8))
 def test_from_free_expr_equals_its_node_loop(l, q):
@@ -753,6 +754,7 @@ def test_from_free_expr_equals_its_node_loop(l, q):
         assert from_free_expr(e, ctx).coeffs.tobytes() == loop_from_free_expr(e, ctx).coeffs.tobytes()
 
 
+@pytest.mark.cpu_path
 @pytest.mark.parametrize("q", GRID_Q_VALUES)
 def test_from_free_expr_edge_trees_equal_the_node_loop(q):
     ctx = AlgebraCtx(4, q)
@@ -816,6 +818,7 @@ def each(fn, stack):
     return np.array([fn(PGElement(table.shape[-1], table)) for table in stack])
 
 
+@pytest.mark.cpu_path
 @pytest.mark.parametrize("n", (1, 5))
 @pytest.mark.parametrize("q", GRID_Q_VALUES)
 @pytest.mark.parametrize("l", range(2, 10))
@@ -1023,7 +1026,7 @@ def test_berezin_route_equals_its_product_route(l, q, n):
 @pytest.mark.parametrize("l", (2, 3, 6), ids=lambda l: f"dense-{l}")
 def test_stacked_draw_equals_successive_random_elements(l):
     one, loop = np.random.default_rng([l, 29]), np.random.default_rng([l, 29])
-    stack = random_elements(one, (4, 3), l)
+    [stack] = samples(one, (4, 3), (l, l))
     assert stack.shape == (4, 3, l, l)
     want = [random_element(loop, l).coeffs for _ in range(12)]
     assert np.array_equal(stack.reshape(12, l, l), want)
@@ -1034,7 +1037,8 @@ def test_stacked_draw_equals_successive_random_elements(l):
 @pytest.mark.parametrize("l", (2, 3, 6))
 def test_compression_samples_equal_the_interleaved_draws(l):
     one, loop = np.random.default_rng([l, 30]), np.random.default_rng([l, 30])
-    g, f1, f2 = compression_samples(one, 5, l)
+    # compression_identity's draw of a symbol g and the coordinates f1, f2
+    g, f1, f2 = samples(one, (5,), (l, l), (l,), (l,))
     for k in range(5):
         assert np.array_equal(g[k], random_element(loop, l).coeffs)
         assert np.array_equal(f1[k], loop.standard_normal(l) + 1j * loop.standard_normal(l))

@@ -11,19 +11,12 @@ to the element and operator route they replaced: the same residuals, bit for
 bit, which also pins the operand order of each scalar product.  The two
 checks that draw nothing and read the ladder powers or a norm, ladder_facts
 and norm_bound, are pinned to their earlier bodies by record, note included.
-The toeplitz_dual_path records are the same bytes under another BLAS kernel.  A
-check that draws nothing runs once per distinct input, and the records do not
-depend on what the cache holds.
+A check that draws nothing runs once per distinct input, and the records do
+not depend on what the cache holds.
 """
 import inspect
 import itertools
-import json
 import math
-import os
-import pathlib
-import platform
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -657,6 +650,7 @@ def test_every_batched_check_has_its_loop():
     assert set(RECORD_LOOPS) <= set(LOOPS)
 
 
+@pytest.mark.cpu_path
 @pytest.mark.parametrize("l", [2, 4, 6])
 @pytest.mark.parametrize("name", sorted(set(LOOPS) - set(RECORD_LOOPS)))
 def test_batched_check_returns_the_residuals_of_its_loop(name, l):
@@ -671,6 +665,7 @@ def test_batched_check_returns_the_residuals_of_its_loop(name, l):
             assert got == outcome(LOOPS[name], ctx, w, seed), (q_id, w_id)
 
 
+@pytest.mark.cpu_path
 @pytest.mark.parametrize("l", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("name", RECORD_LOOPS)
 def test_basis_family_check_keeps_the_record_of_its_loop(monkeypatch, name, l):
@@ -689,33 +684,3 @@ def test_basis_family_check_keeps_the_record_of_its_loop(monkeypatch, name, l):
     with_check(monkeypatch, name, LOOPS[name])
     assert batched == records()
 
-
-# the toeplitz_dual_path records of the default grid, as one JSON line
-DUAL_PATH_SWEEP = """\
-import json
-from pgquant import verify
-print(json.dumps([
-    [r.check, r.l, r.q_id, r.w_id, r.residual, r.status, r.note]
-    for l in verify.GRID_LS for q_id, q in verify.GRID_QS
-    for w_id, w in verify.grid_point_weights(l, q)
-    for r in verify.run_point(l, q_id, q, w_id, w, checks=("toeplitz_dual_path",))]))
-"""
-
-
-@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
-                    reason="OPENBLAS_CORETYPE selects among x86 kernels")
-def test_toeplitz_dual_path_records_do_not_depend_on_the_blas_kernel(capsys):
-    """Both Toeplitz routes sum the same terms in the same order without BLAS,
-    so every residual is 0.0 and a process on the Prescott kernel of a
-    dynamic-arch OpenBLAS gives the same records."""
-    exec(DUAL_PATH_SWEEP, {})
-    here = capsys.readouterr().out
-    src = pathlib.Path(verify_mod.__file__).resolve().parent.parent
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=os.pathsep.join(
-        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    fresh = subprocess.run([sys.executable, "-c", DUAL_PATH_SWEEP], capture_output=True,
-                           text=True, check=True, env=env)
-    assert fresh.stdout == here
-    records = json.loads(here)
-    assert len(records) == 125
-    assert {(r[4], r[5]) for r in records} == {(0.0, "pass")}
