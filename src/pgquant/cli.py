@@ -45,7 +45,11 @@ _IMAGINARY_UNIT = re.compile(r"(?i:inf(?:inity)?|nan)|i")
 
 
 def parse_complex(text: str) -> complex:
-    """Accept 'a+bi' style text ('1', '-1', '0.5', '0+1i', 'i')."""
+    """The grid's own value for a verify.GRID_QS id, "exp(i*pi/3)" among them;
+    otherwise 'a+bi' style text ('1', '-1', '0.5', '0+1i', 'i')."""
+    grid_q = dict(verify_mod.GRID_QS)
+    if text in grid_q:
+        return grid_q[text]
     cleaned = _IMAGINARY_UNIT.sub(lambda m: "j" if m.group() == "i" else m.group(),
                                   text.strip().replace(" ", ""))
     try:
@@ -216,17 +220,11 @@ def cmd_verify(args) -> int:
     if not 0 < args.tolerance < math.inf:
         raise ConfigError(f"--tolerance must be finite and > 0, got {args.tolerance!r}")
     ls = (args.l,) if args.l else verify_mod.GRID_LS
-    qs = verify_mod.GRID_QS
-    if args.q:
-        # a grid id, "exp(i*pi/3)" among them, names the grid's own value
-        grid_q = dict(verify_mod.GRID_QS)
-        qs = ((args.q, grid_q[args.q] if args.q in grid_q else parse_complex(args.q)),)
+    qs = ((args.q, parse_complex(args.q)),) if args.q else verify_mod.GRID_QS
     if args.weights:
         w_id = "custom" if "," in args.weights else args.weights
 
         def weights(l, q):
-            if w_id in verify_mod.GRID_WEIGHT_IDS:
-                return [(w_id, verify_mod.grid_weights(w_id, l))]
             return [(w_id, parse_weights(args.weights, l, q))]
     else:
         weights = verify_mod.grid_point_weights
@@ -272,13 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="pgquant",
                                  description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
+    q_help = "deformation parameter, a+bi text or grid id: " + "|".join(
+        q_id for q_id, _ in verify_mod.GRID_QS)
+    weights_help = "comma list or preset: " + "|".join(WEIGHT_PRESETS)
 
     def common(p):
         p.add_argument("--l", type=int, required=True,
                        help=f"algebra order, 2..{MAX_L}")
-        p.add_argument("--q", default="1", help="deformation parameter, a+bi text")
-        p.add_argument("--weights", required=True,
-                       help="comma list or preset: " + "|".join(WEIGHT_PRESETS))
+        p.add_argument("--q", default="1", help=q_help)
+        p.add_argument("--weights", required=True, help=weights_help)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, help="write here instead of stdout")
 
@@ -298,12 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the identity checks over a grid")
     p_verify.add_argument("--l", type=int, default=None)
-    p_verify.add_argument("--q", default=None,
-                          help="a+bi text or grid id: "
-                          + "|".join(q_id for q_id, _ in verify_mod.GRID_QS))
-    p_verify.add_argument("--weights", default=None,
-                          help="comma list or preset: " + "|".join(
-                              dict.fromkeys(WEIGHT_PRESETS + verify_mod.GRID_WEIGHT_IDS)))
+    p_verify.add_argument("--q", default=None, help=q_help)
+    p_verify.add_argument("--weights", default=None, help=weights_help)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--tolerance", type=float, default=verify_mod.DEFAULT_TOL,
                           help="pass a check whose residual is below this; finite and > 0")

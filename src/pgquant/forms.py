@@ -15,7 +15,10 @@ import numpy as np
 
 from .algebra import PGElement, frozen, gather, in_blocks, index_tuples, same_order
 
-WEIGHT_PRESETS = ("ones", "factorial", "qfactorial")
+WEIGHT_PRESETS = ("ones", "factorial", "qfactorial", "rand1", "rand2", "rand3")
+# the seed of each U(0.25, 4) preset; its weights at order l are the first l
+# draws of default_rng([seed, l])
+_RAND_WEIGHT_SEEDS = {"rand1": 1731, "rand2": 2742, "rand3": 3753}
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,8 @@ class WeightSeq:
 
 
 def preset_weights(name: str, l: int, q: complex = 1.0) -> WeightSeq:
-    """Named weight families used by the CLI and the verification grid."""
+    """The weights of a WEIGHT_PRESETS name at order l: every command reads
+    its --weights names here, and the verification grid its weight ids."""
     if name == "ones":
         return WeightSeq(l, (1.0,) * l)
     if name == "factorial":
@@ -59,6 +63,9 @@ def preset_weights(name: str, l: int, q: complex = 1.0) -> WeightSeq:
                 )
             w.append(w[-1] * factor)
         return WeightSeq(l, tuple(w))
+    if name in _RAND_WEIGHT_SEEDS:
+        rng = np.random.default_rng([_RAND_WEIGHT_SEEDS[name], l])
+        return WeightSeq(l, tuple(rng.uniform(0.25, 4.0, l)))
     raise ValueError(f"unknown weight preset {name!r}")
 
 

@@ -77,7 +77,10 @@ def _number_value(text: str) -> complex:
     return complex(float(text))
 
 
-_ATOM_KINDS = ("th", "thb", "q", "number", "lparen")
+# the atom of each keyword token; the nodes are frozen, so one instance serves
+# every parse
+_KEYWORD_ATOMS = {"th": Gen(THETA), "thb": Gen(THETA_BAR), "q": QSym()}
+_ATOM_KINDS = (*_KEYWORD_ATOMS, "number", "lparen")
 
 # Deepest parenthesis nesting accepted.  Parsing, evaluating, hashing and
 # printing a tree recurse once per node, and one level of parentheses adds at
@@ -166,15 +169,9 @@ class _Parser:
 
     def atom(self) -> FreeExpr:
         tok = self.peek()
-        if tok.kind == "th":
+        if tok.kind in _KEYWORD_ATOMS:
             self.advance()
-            return Gen(THETA)
-        if tok.kind == "thb":
-            self.advance()
-            return Gen(THETA_BAR)
-        if tok.kind == "q":
-            self.advance()
-            return QSym()
+            return _KEYWORD_ATOMS[tok.kind]
         if tok.kind == "number":
             self.advance()
             return Const(_number_value(tok.text))

@@ -53,24 +53,18 @@ GRID_QS = (
     ("exp(i*pi/3)", np.exp(1j * np.pi / 3.0)),
 )
 GRID_WEIGHT_IDS = ("ones", "factorial", "rand1", "rand2", "rand3")
-_RAND_WEIGHT_SEEDS = {"rand1": 1731, "rand2": 2742, "rand3": 3753}
 
 DEFAULT_TOL = 1e-9
 EXPECTED_FAIL = "expected-fail (q not real)"
 
 
-def grid_weights(weight_id: str, l: int) -> WeightSeq:
-    if weight_id in ("ones", "factorial"):
-        return preset_weights(weight_id, l)
-    if weight_id in _RAND_WEIGHT_SEEDS:
-        rng = np.random.default_rng([_RAND_WEIGHT_SEEDS[weight_id], l])
-        return WeightSeq(l, tuple(rng.uniform(0.25, 4.0, l)))
-    raise ValueError(f"unknown grid weight id {weight_id!r}")
+# the weights of a grid weight id at order l: every id is a weight preset
+grid_weights = preset_weights
 
 
 def grid_point_weights(l: int, q: complex) -> list:
     """The (weight id, weights) pairs of the default grid at order l."""
-    return [(w_id, grid_weights(w_id, l)) for w_id in GRID_WEIGHT_IDS]
+    return [(w_id, preset_weights(w_id, l)) for w_id in GRID_WEIGHT_IDS]
 
 
 # the coefficients a holomorphic sample zeroes (every thb power), and those an

@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pgquant import MONOMIAL, ORTHONORMAL, AlgebraCtx, PGElement, WeightSeq, toeplitz
+from pgquant import (MONOMIAL, ORTHONORMAL, AlgebraCtx, PGElement, WeightSeq, gram_matrix,
+                     ladder_set, operator_norm_bh, toeplitz, wick_rank_probe)
 from pgquant.forms import WEIGHT_PRESETS
 from pgquant import verify as verify_mod
 from pgquant.cli import MATRIX_KINDS, MAX_L, main, parse_complex, parse_weights, ConfigError
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+GRID_Q_IDS = [q_id for q_id, _ in verify_mod.GRID_QS]
 
 
 def run(capsys, *argv):
@@ -64,6 +66,11 @@ class TestParseHelpers:
             assert repr(parse_complex(text)) == repr(parse_complex("1i")) == "1j"
         assert repr(parse_complex("-i")) == repr(parse_complex("-1i")) == "-1j"
 
+    @pytest.mark.parametrize("q_id,q", verify_mod.GRID_QS, ids=GRID_Q_IDS)
+    def test_a_grid_q_id_is_the_grid_value_bit_for_bit(self, q_id, q):
+        z = parse_complex(q_id)
+        assert (float.hex(z.real), float.hex(z.imag)) == (float.hex(q.real), float.hex(q.imag))
+
     def test_complex_rejects(self):
         with pytest.raises(ConfigError):
             parse_complex("one")
@@ -72,6 +79,17 @@ class TestParseHelpers:
         assert parse_weights("1,2", 2, 1.0).w == (1.0, 2.0)
         assert parse_weights("ones", 3, 1.0).w == (1.0, 1.0, 1.0)
         assert parse_weights("factorial", 3, 1.0).w == (1.0, 1.0, 2.0)
+        # the seeded draws of the verify grid
+        assert [parse_weights(f"rand{k}", 2, 1.0).w for k in (1, 2, 3)] == [
+            (2.294116535007638, 3.952126658574083),
+            (3.172547930499495, 2.0523619018907917),
+            (1.3355691389684907, 1.5361041814670569)]
+
+    @pytest.mark.parametrize("w_id", verify_mod.GRID_WEIGHT_IDS)
+    def test_a_grid_weight_id_is_the_grid_weights(self, w_id):
+        for l in verify_mod.GRID_LS:
+            for _, q in verify_mod.GRID_QS:
+                assert parse_weights(w_id, l, q) == verify_mod.grid_weights(w_id, l)
 
     def test_weights_rejects(self):
         with pytest.raises(ConfigError):
@@ -230,10 +248,54 @@ def test_help_exits_0_and_lists_the_which_kinds_in_order(capsys, command):
     assert out.startswith(f"usage: pgquant {command} ")
     kinds = "{toeplitz,toeplitz-on,coherent,flat,pk,mult-left,mult-right}"
     assert (kinds in out) == (command == "matrix")
-    assert ("exp(i*pi/3)" in out) == (command == "verify")
-    # --weights lists every preset that parse_weights and verify accept
-    presets = WEIGHT_PRESETS + (verify_mod.GRID_WEIGHT_IDS if command == "verify" else ())
-    assert all(preset in out for preset in presets)
+    # every command reads the grid's q ids and every weight preset
+    assert "|".join(GRID_Q_IDS) in out
+    assert "|".join(WEIGHT_PRESETS) in out
+
+
+@pytest.mark.parametrize("command", ["matrix", "gram", "spectrum"])
+def test_point_commands_read_a_verify_grid_point(capsys, command):
+    """matrix, gram and spectrum read verify's q ids and weight presets as
+    verify does, so a verify record can be inspected at its exact inputs."""
+    l, q = 4, dict(verify_mod.GRID_QS)["exp(i*pi/3)"]
+    w, ctx = verify_mod.grid_weights("rand2", l), AlgebraCtx(l, q)
+    extra = {"matrix": ("--which", "toeplitz", "--symbol", "th*thb")}.get(command, ())
+    code, out, err = run(capsys, command, "--l", str(l), "--q", "exp(i*pi/3)",
+                         "--weights", "rand2", *extra)
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["q"] == [q.real, q.imag] and payload["weights"] == list(w.w)
+    if command == "spectrum":
+        lad = ladder_set(w, ctx)
+        assert payload["deformed_integers"] == list(lad.deformed_ints)
+        assert payload["deformed_factorials"] == list(lad.deformed_factorials)
+        assert payload["number_operator_eigenvalues"] == sorted(
+            float(np.real(x)) for x in np.diag(lad.number.matrix))
+        assert payload["creation_operator_norm"] == operator_norm_bh(lad.creation, w)
+        assert payload["wick_order_rank_probe"]["rank"] == wick_rank_probe(w, ctx)
+        return
+    want = (toeplitz(PGElement.basis(l, 1, 1), w, ctx).matrix if command == "matrix"
+            else gram_matrix(w))
+    assert np.array_equal([[complex(re, im) for re, im in row] for row in payload["rows"]], want)
+    if command == "gram":
+        assert payload["determinant"] == float(np.linalg.det(want))
+
+
+@pytest.mark.parametrize("command", ["matrix", "gram", "spectrum"])
+def test_point_commands_run_at_every_verify_grid_point(capsys, command):
+    """At every point of the default verify grid the command exits 0 and reads
+    the grid's own q and weights, so any verify record can be pasted into it."""
+    extra = {"matrix": ("--which", "toeplitz", "--symbol", "th*thb")}.get(command, ())
+    for l in verify_mod.GRID_LS:
+        for q_id, q in verify_mod.GRID_QS:
+            q = complex(q)
+            for w_id in verify_mod.GRID_WEIGHT_IDS:
+                code, out, err = run(capsys, command, "--l", str(l), "--q", q_id,
+                                     "--weights", w_id, *extra)
+                assert (code, err) == (0, ""), (l, q_id, w_id)
+                payload = json.loads(out)
+                assert payload["q"] == [q.real, q.imag], (l, q_id, w_id)
+                assert payload["weights"] == list(verify_mod.grid_weights(w_id, l).w)
 
 
 def test_matrix_kind_labels_are_the_library_bases():
@@ -435,16 +497,21 @@ SYMBOLS = st.one_of(
         lambda terms: "+".join(f"{c!r}*{mono}" for c, mono in terms)))
 
 
+def any_weights(l):
+    """A log-uniform list of l weights, or a preset name."""
+    return st.one_of(log_uniform_weights(l), st.sampled_from(WEIGHT_PRESETS))
+
+
 @st.composite
 def any_command(draw):
     command = draw(st.sampled_from(["matrix", "gram", "spectrum", "verify"]))
     if command == "verify":
         l = draw(st.integers(2, 3))
-        return ["verify", "--l", str(l), "--q", "1", "--weights",
-                draw(log_uniform_weights(l)), "--format", "json"]
+        return ["verify", "--l", str(l), "--q", draw(st.sampled_from(GRID_Q_IDS)),
+                "--weights", draw(any_weights(l)), "--format", "json"]
     l = draw(st.integers(2, 5))
-    q = draw(st.sampled_from(["1", "-1", "0.5", "2", "0.5+0.8660254037844386i"]))
-    argv = [command, "--l", str(l), "--q", q, "--weights", draw(log_uniform_weights(l)),
+    q = draw(st.sampled_from(GRID_Q_IDS + ["0.5+0.8660254037844386i"]))
+    argv = [command, "--l", str(l), "--q", q, "--weights", draw(any_weights(l)),
             "--format", "json"]
     if command == "matrix":
         which = draw(st.sampled_from(["toeplitz", "toeplitz-on", "coherent", "flat", "pk",
@@ -554,15 +621,6 @@ class TestVerifyCommand:
         want = verify_mod.run_grid(ls, qs, weights, seed=4)
         assert json.loads(out)["records"] == json_records(want)
         assert code == (1 if any(r.status == "fail" for r in want) else 0)
-
-    def test_seed_determinism(self):
-        # two interpreters that hash strings differently print the same bytes
-        argv = ("verify", "--l", "3", "--q", "0.5", "--weights", "rand1",
-                "--format", "json", "--seed", "7")
-        procs = [run_fresh(*argv, PYTHONHASHSEED=seed) for seed in ("1", "2")]
-        assert [p.returncode for p in procs] == [0, 0]
-        assert len(json.loads(procs[0].stdout)["records"]) == len(verify_mod.CHECKS)
-        assert procs[0].stdout == procs[1].stdout
 
     @pytest.mark.parametrize("l,q_id,q", [(3, "0.5", 0.5), (5, "-1", -1.0),
                                           (4, "exp(i*pi/3)", np.exp(1j * np.pi / 3))])
