@@ -4,11 +4,16 @@ A check is a plain function run at one grid point (l, q, weight choice).  It
 takes exactly the arguments it reads, an ordered subset of (ctx, w, rng, tol):
 the algebra context, the weights, a generator seeded for the check and the
 point, and the tolerance.  So check_gram_properties(w) reads neither q nor a
-generator, and check_associativity(ctx, rng) no weights.  It returns the list
-of residuals it measured, or raises CheckFailure with a note for a failure
-that is not a residual (a rank, a sign, a nilpotency); with expected=True the
-exception marks the conjugation violation that the star criterion witnesses at
-non-real q.
+generator, and check_associativity(ctx, rng) no weights.
+
+Every check keeps one contract.  It draws each set of its samples with one
+samples(rng, lead, *shapes) call and unpacks the stacks, masking a holomorphic
+one in place, so its samples and residuals are those of a loop that drew one
+sample at a time.  It fails only by returning residuals at or above tol, or by
+raising CheckFailure with a note that names what it found (a rank and the one
+expected, a sign, a nilpotency, a missing violation): it returns no residual
+it did not measure.  Only expected=True, the conjugation violation the star
+criterion witnesses at non-real q, is raised without a note.
 
 run_point alone decides the record, with each check under
 np.errstate(all="ignore"): the residual is the largest measured (0 if none;
@@ -21,10 +26,6 @@ of its arguments, so its record is computed once per distinct check function,
 argument values and tolerance in a process, and served again at every point
 that repeats them: the weight-only checks at each q, the q-only checks at each
 weight choice.
-
-The checks draw their random samples as stacks, from one generator call per
-stack, and evaluate them through the stacked kernels: the samples, and the
-residual lists, are those of a loop that drew one sample at a time.
 """
 from __future__ import annotations
 
@@ -91,14 +92,8 @@ def samples(rng: np.random.Generator, lead: tuple, *shapes: tuple) -> list:
     return out
 
 
-def random_elements(rng: np.random.Generator, lead: tuple, l: int) -> np.ndarray:
-    """A (*lead, l, l) stack of random coefficient tables: table k in C order
-    is the table of the k-th of successive random_element calls."""
-    return samples(rng, lead, (l, l))[0]
-
-
 def random_element(rng: np.random.Generator, l: int) -> PGElement:
-    return PGElement(l, random_elements(rng, (), l))
+    return PGElement(l, samples(rng, (), (l, l))[0])
 
 
 def _max_abs(x) -> float:
@@ -200,7 +195,7 @@ def check_normal_order_oracle(ctx):
 
 def check_associativity(ctx, rng):
     # ten samples of (f, g, h)
-    f, g, h = np.moveaxis(random_elements(rng, (10, 3), ctx.l), 1, 0)
+    f, g, h = samples(rng, (10,), (ctx.l, ctx.l), (ctx.l, ctx.l), (ctx.l, ctx.l))
     lhs = multiply_stack(multiply_stack(f, g, ctx), h, ctx)
     rhs = multiply_stack(f, multiply_stack(g, h, ctx), ctx)
     return _relative(_max_abs_each(lhs - rhs), _max_abs_each(rhs))
@@ -225,17 +220,16 @@ def check_star_criterion(ctx, rng, tol):
         # complex q: the violation itself is the expected outcome
         if witness_res > tol:
             raise CheckFailure(expected=True)
-        return [witness_res + 1.0]  # violation missing: report as failure
-    f, g = np.moveaxis(random_elements(rng, (10, 2), ctx.l), 1, 0)
+        raise CheckFailure(f"no violation at non-real q: witness residual {witness_res:.3e}")
+    f, g = samples(rng, (10,), (ctx.l, ctx.l), (ctx.l, ctx.l))
     prod = multiply_stack(f, g, ctx)
     res = conjugate_stack(prod) - multiply_stack(conjugate_stack(g), conjugate_stack(f), ctx)
     return [witness_res] + _relative(_max_abs_each(res), _max_abs_each(prod))
 
 
 def check_holomorphic_conjugation(ctx, rng):
-    draws = random_elements(rng, (10, 2), ctx.l)
-    draws[_THB_POWERS] = 0
-    f, g = np.moveaxis(draws, 1, 0)
+    f, g = samples(rng, (10,), (ctx.l, ctx.l), (ctx.l, ctx.l))
+    f[_THB_POWERS] = g[_THB_POWERS] = 0
     res = conjugate_stack(multiply_stack(f, g, ctx)) - multiply_stack(
         conjugate_stack(f), conjugate_stack(g), ctx)
     return _max_abs_each(res)
@@ -279,15 +273,17 @@ def check_free_expr_linearity(ctx, rng):
 # --- forms -----------------------------------------------------------------
 
 def check_form_mode_agreement(w, rng):
-    f, g = np.moveaxis(random_elements(rng, (200, 2), w.l), 1, 0)
+    f, g = samples(rng, (200,), (w.l, w.l), (w.l, w.l))
     return _abs_each(form_stack(f, g, w, "closed") - form_stack(f, g, w, "definitional"))
 
 
 def check_gram_properties(w):
     G = gram_matrix(w)
+    if (rank := matrix_rank(G)) != w.l * w.l:
+        raise CheckFailure(f"rank {rank}, expected {w.l * w.l}")
     # the form on the holomorphic monomials: rows and columns a*l of th^a
-    if matrix_rank(G) != w.l * w.l or not np.all(np.linalg.eigvalsh(G[::w.l, ::w.l]) > 0):
-        raise CheckFailure()
+    if not np.all(np.linalg.eigvalsh(G[::w.l, ::w.l]) > 0):
+        raise CheckFailure("holomorphic block not positive definite")
     return [_max_abs(G - G.T)]
 
 
@@ -295,7 +291,7 @@ def check_adjoint_wrt_form(w, rng):
     l = w.l
     [A] = samples(rng, (), (l * l, l * l))
     Astar = adjoint_wrt_form(A, w)
-    f, g = np.moveaxis(random_elements(rng, (100, 2), l), 1, 0)
+    f, g = samples(rng, (100,), (l, l), (l, l))
     # one matrix-vector product per sample, as for a single coefficient vector
     Af = np.matmul(A, f.reshape(-1, l * l, 1)).reshape(-1, l, l)
     Astar_g = np.matmul(Astar, g.reshape(-1, l * l, 1)).reshape(-1, l, l)
@@ -320,13 +316,12 @@ def check_pk_projection(w, rng):
     l = w.l
     P = pk_operator(w)
     residuals = [_max_abs(P @ P - P), _max_abs(adjoint_wrt_form(P, w) - P)]
-    if matrix_rank(P) != l:
-        raise CheckFailure()
+    if (rank := matrix_rank(P)) != l:
+        raise CheckFailure(f"rank {rank}, expected {l}")
     # ten samples of (F, h), h holomorphic: mode agreement on random input,
     # and the identity on the holomorphic subspace
-    draws = random_elements(rng, (10, 2), l)
-    draws[:, 1][_THB_POWERS] = 0
-    F, h = np.moveaxis(draws, 1, 0)
+    F, h = samples(rng, (10,), (l, l), (l, l))
+    h[_THB_POWERS] = 0
     return residuals + _interleave(
         _max_abs_each(project_pk_stack(F, w, "closed") - project_pk_stack(F, w, "kernel")),
         _max_abs_each(project_pk_stack(h, w) - h))
@@ -334,8 +329,8 @@ def check_pk_projection(w, rng):
 
 def check_toeplitz_dual_path(w, rng):
     # every basis symbol, then 50 random ones
-    symbols = np.concatenate([alg.monomials(w.l, range(w.l ** 2)),
-                              random_elements(rng, (50,), w.l)])
+    [g] = samples(rng, (50,), (w.l, w.l))
+    symbols = np.concatenate([alg.monomials(w.l, range(w.l ** 2)), g])
     return _max_abs_each(toeplitz_stack(symbols, w, "closed")
                          - toeplitz_stack(symbols, w, "projection"))
 
@@ -356,8 +351,8 @@ def check_compression_identity(ctx, w, rng):
 
 
 def check_toeplitz_iso_rank(w):
-    if span_rank(toeplitz_stack(alg.monomials(w.l, range(w.l ** 2)), w)) != w.l ** 2:
-        raise CheckFailure()
+    if (rank := span_rank(toeplitz_stack(alg.monomials(w.l, range(w.l ** 2)), w))) != w.l ** 2:
+        raise CheckFailure(f"span rank {rank}, expected {w.l ** 2}")
     return []
 
 
@@ -377,7 +372,7 @@ def check_column_structure(w):
 
 def check_adjoint_symbol_rule(w, rng, tol):
     l = w.l
-    g = random_elements(rng, (50,), l)
+    [g] = samples(rng, (50,), (l, l))
     lhs = toeplitz_adjoint_stack(toeplitz_stack(g, w), w)
     residuals = _max_abs_each(lhs - toeplitz_stack(conjugate_stack(g), w))
     # corollary witnesses: a self-adjoint symbol gives a self-adjoint operator,
@@ -387,7 +382,7 @@ def check_adjoint_symbol_rule(w, rng, tol):
     T_star = toeplitz_adjoint_stack(T, w)
     residuals.append(_max_abs(T_star[0] - T[0]))
     if np.allclose(T_star[1], T[1], atol=tol):
-        raise CheckFailure()
+        raise CheckFailure("T(th) came out self-adjoint")
     return residuals
 
 
@@ -395,7 +390,7 @@ def check_multiplicativity(ctx, w, rng):
     l = ctx.l
     # 50 samples of (g1, g2, h1, h2), the g holomorphic and the h not; the
     # pairs (g1, g2) and (h1, h2) of each sample are a[k], b[k] in that order
-    draws = random_elements(rng, (50, 4), l)
+    [draws] = samples(rng, (50, 4), (l, l))
     draws[:, :2][_THB_POWERS] = 0
     draws[:, 2:][_TH_POWERS] = 0
     a, b = draws[:, 0::2].reshape(-1, l, l), draws[:, 1::2].reshape(-1, l, l)
@@ -418,24 +413,25 @@ def check_anti_wick_factorization(w):
 
 
 def check_operator_basis_rank(w):
-    if span_rank(_anti_wick_words(w)) != w.l * w.l:
-        raise CheckFailure()
+    if (rank := span_rank(_anti_wick_words(w))) != w.l * w.l:
+        raise CheckFailure(f"span rank {rank}, expected {w.l * w.l}")
     return []
 
 
 def check_quantization_equivalences(w, rng):
     l = w.l
-    g = random_elements(rng, (50,), l)
+    [g] = samples(rng, (50,), (l, l))
     # the z map of a symbol is its transposed table
     A = coherent_quantization_stack(np.swapaxes(g, 1, 2), w)
     residuals = _interleave(
         _max_abs_each(A - convert_basis_stack(toeplitz_stack(g, w), w, ORTHONORMAL)),
         _max_abs_each(toeplitz_flat_stack(g, w) - coherent_quantization_stack(g, w)))
-    g = random_elements(rng, (10,), l)
+    [g] = samples(rng, (10,), (l, l))
     residuals += _max_abs_each(coherent_quantization_stack(g, w, "closed")
                                - coherent_quantization_stack(g, w, "berezin"))
-    if span_rank(coherent_quantization_stack(alg.monomials(l, range(l * l)), w)) != l * l:
-        raise CheckFailure()
+    basis_images = coherent_quantization_stack(alg.monomials(l, range(l * l)), w)
+    if (rank := span_rank(basis_images)) != l * l:
+        raise CheckFailure(f"coherent span rank {rank}, expected {l * l}")
     return residuals
 
 
@@ -467,7 +463,7 @@ def check_number_operator(w, rng, tol):
     residuals = [_max_abs(N - np.diag(np.diag(N))),
                  _max_abs(np.sort(diag) - np.sort(lad.deformed_ints))]
     if np.any(diag < -tol):
-        raise CheckFailure()
+        raise CheckFailure(f"eigenvalue {diag.min():.3e} below -tol")
     [f] = samples(rng, (20,), (l, 1))  # 20 column vectors
     D = w.arr()[:, None]
     lhs = np.swapaxes(np.conj(f), 1, 2) @ (D * (N @ f))
@@ -481,8 +477,9 @@ def check_diagonal_symbols(w):
     M = toeplitz_stack(alg.monomials(l, range(0, l * l, l + 1)), w)  # every T(th^i thb^i)
     diag = np.real(np.diagonal(M, axis1=1, axis2=2))
     expect = [[w.w[i + a] / w.w[a] if i + a < l else 0.0 for a in range(l)] for i in range(l)]
-    if any(matrix_rank(m) != l - i for i, m in enumerate(M)):
-        raise CheckFailure()
+    for i, m in enumerate(M):
+        if (rank := matrix_rank(m)) != l - i:
+            raise CheckFailure(f"T(th^{i} thb^{i}) rank {rank}, expected {l - i}")
     return _max_abs_each(M * (1 - np.eye(l))) + np.abs(diag - expect).ravel().tolist()
 
 

@@ -4,7 +4,9 @@ directory: the package's names in the package, the tests' names in the tests.
 
 The package re-exports its public names from __init__.py, so that module is
 exempt from the import check.  The package checks the orders of its
-arguments in one place, algebra.same_order.
+arguments in one place, algebra.same_order.  A verify check splits its draws
+only through verify.samples, and names what it found in every failure it
+raises, but the expected one.
 """
 import ast
 import pathlib
@@ -87,3 +89,21 @@ def test_orders_are_compared_only_in_same_order():
                   if isinstance(node, ast.FunctionDef) and node.name == "same_order")
     assert found and all(name == "algebra.py" and helper.lineno <= n <= helper.end_lineno
                          for name, n in found), found
+
+
+def test_verify_checks_keep_their_contract():
+    """In verify.py, np.moveaxis is called only inside samples, and every
+    CheckFailure passes a note but the one raised with expected=True."""
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "samples")
+    moves = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "moveaxis"]
+    assert moves and all(helper.lineno <= n <= helper.end_lineno for n in moves), moves
+    raised = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name) and node.func.id == "CheckFailure"]
+    expected = [node for node in raised
+                if any(k.arg == "expected" for k in node.keywords)]
+    silent = [node.lineno for node in raised if node not in expected
+              and not node.args and not any(k.arg == "note" for k in node.keywords)]
+    assert len(expected) == 1 and silent == [], (len(expected), silent)

@@ -49,7 +49,7 @@ from pgquant.quantization import (_projection_support, _toeplitz_support,
                                   mult_operator_stack, operator_norm_bh, project_pk_stack,
                                   span_rank,
                                   toeplitz_adjoint_stack, toeplitz_flat_stack, toeplitz_stack)
-from pgquant.verify import GRID_QS, _random_expr, random_element, random_elements, samples
+from pgquant.verify import GRID_QS, _random_expr, random_element, samples
 
 GRID_Q_VALUES = [q for _, q in GRID_QS]
 
@@ -913,7 +913,7 @@ def test_stacked_kernels_hold_one_output_and_a_half(kernel):
     l, fn = 16, STACKED_KERNELS[kernel]
     rng = np.random.default_rng([l, 29])
     w = rand_weights(rng, l)
-    F = random_elements(rng, (1000,), l)
+    [F] = samples(rng, (1000,), (l, l))
     fn(F[:2], w)  # the index tables are cached on a first call
     tracemalloc.start()
     try:
@@ -1010,24 +1010,35 @@ def test_berezin_route_equals_its_product_route(l, q, n):
 
 # --- stacked draws: one generator call gives the samples of a loop -------------
 
-@pytest.mark.parametrize("l", (2, 3, 6), ids=lambda l: f"dense-{l}")
-def test_stacked_draw_equals_successive_random_elements(l):
-    one, loop = np.random.default_rng([l, 29]), np.random.default_rng([l, 29])
-    [stack] = samples(one, (4, 3), (l, l))
-    assert stack.shape == (4, 3, l, l)
-    want = [random_element(loop, l).coeffs for _ in range(12)]
-    assert np.array_equal(stack.reshape(12, l, l), want)
-    # both generators are left in the same state
-    assert one.standard_normal() == loop.standard_normal()
+# every (lead, shapes) that a verify check draws, at order l
+CHECK_DRAWS = {
+    "three tables (associativity)": lambda l: ((10,), [(l, l)] * 3),
+    "two tables (star, holomorphic, pk)": lambda l: ((10,), [(l, l)] * 2),
+    "two tables (adjoint_wrt_form)": lambda l: ((100,), [(l, l)] * 2),
+    "two tables (form_mode_agreement)": lambda l: ((200,), [(l, l)] * 2),
+    "four tables (multiplicativity)": lambda l: ((50, 4), [(l, l)]),
+    "one table (50)": lambda l: ((50,), [(l, l)]),
+    "one table (10)": lambda l: ((10,), [(l, l)]),
+    "table and two vectors (compression)": lambda l: ((20,), [(l, l), (l,), (l,)]),
+    "one operator (adjoint_wrt_form)": lambda l: ((), [(l * l, l * l)]),
+    "one vector (reproducing)": lambda l: ((), [(l + 4,)]),
+    "column vectors (number_operator)": lambda l: ((20,), [(l, 1)]),
+}
 
 
 @pytest.mark.parametrize("l", (2, 3, 6))
-def test_compression_samples_equal_the_interleaved_draws(l):
-    one, loop = np.random.default_rng([l, 30]), np.random.default_rng([l, 30])
-    # compression_identity's draw of a symbol g and the coordinates f1, f2
-    g, f1, f2 = samples(one, (5,), (l, l), (l,), (l,))
-    for k in range(5):
-        assert np.array_equal(g[k], random_element(loop, l).coeffs)
-        assert np.array_equal(f1[k], loop.standard_normal(l) + 1j * loop.standard_normal(l))
-        assert np.array_equal(f2[k], loop.standard_normal(l) + 1j * loop.standard_normal(l))
+@pytest.mark.parametrize("draw", CHECK_DRAWS)
+def test_samples_are_the_successive_per_sample_draws(draw, l):
+    """samples(rng, lead, *shapes) gives, at each index of lead in C order, an
+    array of each shape in turn as one per-sample draw makes it, its real
+    parts before its imaginary ones, and leaves the generator where that loop
+    does."""
+    lead, shapes = CHECK_DRAWS[draw](l)
+    one, loop = np.random.default_rng([l, 29]), np.random.default_rng([l, 29])
+    stacks = samples(one, lead, *shapes)
+    assert [s.shape for s in stacks] == [(*lead, *shape) for shape in shapes]
+    for k in np.ndindex(*lead):
+        for stack, shape in zip(stacks, shapes):
+            want = loop.standard_normal(shape) + 1j * loop.standard_normal(shape)
+            assert np.array_equal(stack[k], want)
     assert one.standard_normal() == loop.standard_normal()

@@ -17,6 +17,7 @@ not depend on what the cache holds.
 import inspect
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -79,6 +80,35 @@ def test_raised_failures_keep_residual_one_and_their_note(monkeypatch):
     assert (failed.residual, failed.status, failed.note) == (
         1.0, "fail", "kernel not one-dimensional")
     assert (witnessed.residual, witnessed.status, witnessed.note) == (0.0, EXPECTED_FAIL, "")
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_a_non_real_q_that_shows_no_violation_fails_with_a_note(l):
+    # 1 + 1e-15i is not real, but the witness (thb th)* - th* thb* of the
+    # conjugation's product rule stays below the tolerance: a failure whose
+    # note says so, with no residual the check did not measure
+    w = verify_mod.grid_weights("ones", l)
+    [r] = verify_mod.run_point(l, "1+1e-15i", 1 + 1e-15j, "ones", w, checks=("star_criterion",))
+    assert (r.residual, r.status) == (1.0, "fail")
+    assert re.fullmatch(r"no violation at non-real q: witness residual \S+", r.note), r.note
+
+
+RANK_CHECKS = ("pk_projection", "toeplitz_iso_rank", "operator_basis_rank",
+               "quantization_equivalences", "diagonal_symbols")
+
+
+def test_a_rank_failure_names_the_observed_and_the_expected_rank():
+    # the q-factorial weights at l = 12, q = 2 span more than the SVD's
+    # relative threshold; the observed ranks may move with the BLAS kernel,
+    # so only the form of each note is pinned
+    l, q = 12, dict(verify_mod.GRID_QS)["2"]
+    records = verify_mod.run_point(l, "2", q, "qfactorial", preset_weights("qfactorial", l, q),
+                                   checks=RANK_CHECKS)
+    assert [r.check for r in records] == list(RANK_CHECKS)
+    for r in records:
+        assert (r.residual, r.status) == (1.0, "fail")
+        observed, expected = map(int, re.search(r"rank (\d+), expected (\d+)$", r.note).groups())
+        assert observed < expected, r
 
 
 def test_an_svd_that_does_not_converge_fails_as_inf(monkeypatch):
